@@ -1,12 +1,12 @@
 """The workloads: data dir, serve options and prebuilt requests from a seed.
 
-Each builder prepares a data dir the way a device restarts: services
+Each workload function prepares a data dir the way a device restarts: services
 registered, users present and, for secured services, key material
 already on disk, so no RSA key generation falls inside set-up time.
 It then builds every request as bytes, with the reply each must get.
 The same seed gives the same requests; ``Plan.digest`` hashes them so
 two commits can be shown to get the same inputs. Encrypted and signed
-requests depend on fresh keys and session keys, so for those the
+requests depend on fresh RSA and AES keys, so for those the
 digest covers the plain envelope and how it is wrapped.
 
 Why these workloads:
@@ -58,7 +58,7 @@ SOAP_ENCODING = "http://schemas.xmlsoap.org/soap/encoding/"
 NOTES_PATH = "/CadastroEscolar.jws"
 LABELS = ("NOTE 1", "NOTE 2", "NOTE 3", "REPLACEMENT", "FINAL TEST", "LACKS")
 
-# plain-http: consumer sessions, each a WSDL fetch and then calls
+# plain-http: consumer visits, each a WSDL fetch and then calls
 PLAIN_REQUESTS = 2000
 PLAIN_BAD_SHARE = 0.03
 HIT_SHARE = 0.8
@@ -101,15 +101,15 @@ def build(name: str, seed: int, work: Path, seconds: float) -> Plan:
 
     ``seconds`` sizes an open-loop schedule; closed loops ignore it.
     """
-    builders = {
+    factories = {
         "plain-http": plain_http,
         "secured-tcp-open": secured_tcp_open,
         "bulk-echo-http": bulk_echo_http,
     }
-    if name not in builders:
-        raise ValueError(f"unknown workload {name!r}; choose from {sorted(builders)}")
+    if name not in factories:
+        raise ValueError(f"unknown workload {name!r}; choose from {sorted(factories)}")
     work.mkdir(parents=True, exist_ok=True)
-    return builders[name](random.Random(f"{name}:{seed}"), work, seconds)
+    return factories[name](random.Random(f"{name}:{seed}"), work, seconds)
 
 
 # --- wire helpers -------------------------------------------------------------
