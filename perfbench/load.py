@@ -31,7 +31,7 @@ import time
 from cryptography.hazmat.primitives import serialization
 
 import checks
-from server import cpu_seconds
+from server import cpu_seconds, machine_ticks
 
 CONNECTIONS = 2
 TIMEOUT_S = 30.0
@@ -99,7 +99,7 @@ def run_job(job: dict) -> dict:
     window = job.get("window_s")
     pid = job["server_pid"]
     records = []  # (order position, due, sent, done, raw reply or None, error)
-    samples = []  # (time, server CPU seconds) at window boundaries
+    samples = []  # (time, server CPU s, machine (steal, total) ticks) per window boundary
     # select(2) takes a timeout in microseconds; epoll and poll round up
     # to whole milliseconds, which would make the open loop send late
     selector = selectors.SelectSelector()
@@ -115,12 +115,12 @@ def run_job(job: dict) -> dict:
     gc.disable()
     cpu0 = cpu_seconds(pid)
     t0 = time.perf_counter()
-    samples.append((t0, cpu0))
+    samples.append((t0, cpu0, machine_ticks()))
     n = 0  # requests started
     while True:
         now = time.perf_counter()
         if window and now >= samples[-1][0] + window:
-            samples.append((now, cpu_seconds(pid)))
+            samples.append((now, cpu_seconds(pid), machine_ticks()))
         wait = None
         while len(in_flight) < CONNECTIONS:
             if schedule is not None:
@@ -163,6 +163,8 @@ def run_job(job: dict) -> dict:
             finish(call, "timeout")
     t1 = time.perf_counter()
     cpu1 = cpu_seconds(pid)
+    if window and t1 - samples[-1][0] >= window / 2:
+        samples.append((t1, cpu1, machine_ticks()))
     gc.enable()
     selector.close()
 

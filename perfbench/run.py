@@ -2,15 +2,17 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload plain-http --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload plain-http --seed 1 --seconds 30 --trace 0
 
 Workloads: plain-http, secured-tcp-open, bulk-echo-http (see
 workloads.py and README.md). The host runs as its own `mobilehost serve`
-process; one load process (load.py, two threads, two connections)
+process; one load process (load.py, one thread, two connections)
 drives it with requests built before timing and checks every reply.
 
 --trace 0 measures the end-to-end metrics. Set-up time is the median
-of SETUP_RUNS host starts, each from launch to the first correct reply.
+of SETUP_RUNS host starts, each from launch to the first correct reply;
+half of the starts come before the timed phase and half after it, so
+they sample the machine at both ends of the run.
 
 --trace 1 gives the per-layer metrics. It sends one fixed set of
 requests twice: to a plain host, then to one started through
@@ -47,8 +49,8 @@ from load import exchange
 from server import Server, free_port, peak_rss_kib
 
 HERE = Path(__file__).resolve().parent
-SETUP_RUNS = 5
-WINDOWS = 10  # timed-phase windows; rates are medians over them
+SETUP_RUNS = 16
+WINDOWS = 20  # timed-phase windows; see summarize()
 READY_TIMEOUT_S = 60.0
 LOAD_TIMEOUT_S = 150.0
 DUMP_TIMEOUT_S = 60.0
@@ -118,9 +120,9 @@ class Bench:
                 raise RuntimeError(f"first reply is wrong: {why}")
             return time.perf_counter()
 
-    def setup_times(self) -> list:
+    def setup_times(self, n: int) -> list:
         times = []
-        for _ in range(SETUP_RUNS):
+        for _ in range(n):
             server, port = self.start()
             times.append(self.wait_ready(server, port) - server.launched)
             server.stop()
@@ -156,38 +158,54 @@ def rates(done, seconds: float, cpu_s: float) -> tuple:
 
 
 def summarize(result: dict) -> dict:
-    """Metrics of one load phase. With server CPU sampled at window
-    boundaries, the rates are medians over the windows, so a burst of
-    machine noise in one window does not move them."""
+    """Metrics of one load phase.
+
+    The timed phase is cut into windows at the load process's samples.
+    The windows are ranked by the machine's steal time in them, and the
+    quieter half gives the bounded metrics: throughput, goodput and
+    server CPU are medians over those windows, and the median latency
+    is taken over the requests completed in them. Steal is time the
+    hypervisor gave this machine's CPUs to another guest; it comes in
+    bursts of seconds that slow every process, so it is noise of the
+    machine, not a cost of the program. The 99th percentile and the
+    send lag stay over the whole phase.
+    """
     records = result["records"]
     latencies = [(done - due) * 1e3 for _, due, _, done, _, _ in records]
     lags = [(sent - due) * 1e3 for _, due, sent, _, _, _ in records]
     failures = [why for *_, why, _ in records if why is not None]
     samples = result["samples"]
-    windows = []
-    for (a, cpu_a), (b, cpu_b) in zip(samples, samples[1:]):
+    windows = []  # (steal share, records completed, seconds, server CPU s)
+    for (a, cpu_a, (st_a, tot_a)), (b, cpu_b, (st_b, tot_b)) in zip(samples, samples[1:]):
         done = [r for r in records if a <= r[3] < b]
         if done:
-            windows.append(rates(done, b - a, cpu_b - cpu_a))
+            windows.append(((st_b - st_a) / max(1, tot_b - tot_a), done, b - a, cpu_b - cpu_a))
     if len(windows) < 3:  # a phase bounded by count: one window
-        windows = [rates(records, result["t1"] - result["t0"], result["server_cpu_s"])]
+        windows = [(0.0, records, result["t1"] - result["t0"], result["server_cpu_s"])]
+    windows.sort(key=lambda w: w[0])
+    quiet = windows[: (len(windows) + 1) // 2]
+    per_window = [rates(done, secs, cpu) for _, done, secs, cpu in quiet]
+    quiet_latencies = [(r[3] - r[1]) * 1e3 for w in quiet for r in w[1]]
     return {
         "attempted": len(records),
         "failed": len(failures),
         "failures": failures,
         "windows": len(windows),
-        "throughput_rps": statistics.median(w[0] for w in windows),
+        "quiet_windows": len(quiet),
+        "steal_share": (statistics.mean(w[0] for w in windows),
+                        statistics.mean(w[0] for w in quiet)),
+        "throughput_rps": statistics.median(w[0] for w in per_window),
         "latencies": latencies,
-        "latency_p50_ms": percentile(latencies, 50),
+        "latency_p50_ms": percentile(quiet_latencies, 50),
         "latency_p99_ms": percentile(latencies, 99),
-        "goodput_mib_s": statistics.median(w[1] for w in windows),
-        "server_cpu_us_per_req": statistics.median(w[2] for w in windows),
+        "goodput_mib_s": statistics.median(w[1] for w in per_window),
+        "server_cpu_us_per_req": statistics.median(w[2] for w in per_window),
         "sched_lag_p99_ms": percentile(lags, 99),
     }
 
 
 def end_to_end(bench: Bench, seconds: float) -> tuple:
-    setups = bench.setup_times()
+    setups = bench.setup_times(SETUP_RUNS // 2)
     server, port = bench.start()
     bench.wait_ready(server, port)
     if bench.plan.schedule is not None:
@@ -197,6 +215,7 @@ def end_to_end(bench: Bench, seconds: float) -> tuple:
         result = bench.load(server, port, seconds=seconds, window_s=seconds / WINDOWS)
     rss_kib = peak_rss_kib(server.pid)
     server.stop()
+    setups += bench.setup_times(SETUP_RUNS - SETUP_RUNS // 2)
     s = summarize(result)
     metrics = {name: s.get(name) for name in END_TO_END_UNITS}
     metrics["server_rss_mb"] = rss_kib / 1024
@@ -208,10 +227,13 @@ def end_to_end(bench: Bench, seconds: float) -> tuple:
 
     n = len(s["latencies"])
     tail_q = 100 * (n - 10) / n if n > 10 else 0
+    quiet = (f"the {s['quiet_windows']} of {s['windows']} windows with least machine "
+             f"steal; steal {s['steal_share'][1]:.3f} in them, {s['steal_share'][0]:.3f} "
+             f"over all")
     lines = [
-        line("throughput_rps", metrics["throughput_rps"], "1/s",
-             f"median of {s['windows']} windows"),
-        line("latency_p50_ms", metrics["latency_p50_ms"], "ms", f"n={n}"),
+        line("throughput_rps", metrics["throughput_rps"], "1/s", f"median over {quiet}"),
+        line("latency_p50_ms", metrics["latency_p50_ms"], "ms",
+             f"over the requests completed in those windows; n={n} in all windows"),
         line("latency_p99_ms", s["latency_p99_ms"], "ms",
              f"reported, not bounded; n={n}, {n - math.ceil(0.99 * n)} beyond; highest "
              f"percentile with >=10 beyond: p{tail_q:.3f} = "

@@ -31,6 +31,15 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / CLK_TCK  # utime, stime
 
 
+def machine_ticks() -> tuple:
+    """(steal, total) clock ticks of all CPUs, from /proc/stat. Steal is
+    time the hypervisor ran something else while this machine's CPUs
+    had work."""
+    with open("/proc/stat") as f:
+        fields = [int(x) for x in f.readline().split()[1:]]
+    return fields[7], sum(fields)
+
+
 def peak_rss_kib(pid: int) -> int:
     """VmHWM of a process, in KiB."""
     with open(f"/proc/{pid}/status") as f:

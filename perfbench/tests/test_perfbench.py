@@ -89,6 +89,28 @@ def test_layer_metrics_per_request_and_window():
     assert m["transport.connections_per_req"] == 1
 
 
+def test_summarize_takes_the_windows_with_least_steal():
+    """Four 1 s windows, the first and third with half the machine
+    stolen: the rates and the median latency come from the other two."""
+    def rec(done, latency_s):
+        return (0, done - latency_s, done - latency_s, done, None, 1024)
+
+    records = [rec(0.5, 0.1)]  # noisy window
+    records += [rec(1.1 + 0.2 * i, 0.001) for i in range(4)]  # quiet: 4 replies
+    records += [rec(2.5, 0.1)]  # noisy window
+    records += [rec(3.2, 0.001), rec(3.6, 0.001)]  # quiet: 2 replies
+    samples = [(0.0, 0.0, (0, 0)), (1.0, 0.1, (50, 100)), (2.0, 0.2, (50, 200)),
+               (3.0, 0.3, (100, 300)), (4.0, 0.4, (100, 400))]
+    result = {"records": records, "samples": samples, "t0": 0.0, "t1": 4.0,
+              "server_cpu_s": 0.4}
+    s = run.summarize(result)
+    assert (s["windows"], s["quiet_windows"]) == (4, 2)
+    assert s["throughput_rps"] == pytest.approx(3.0)
+    assert s["server_cpu_us_per_req"] == pytest.approx((25_000 + 50_000) / 2)
+    assert s["latency_p50_ms"] == pytest.approx(1.0)
+    assert s["latency_p99_ms"] == pytest.approx(100.0)
+
+
 # --- reply checks -------------------------------------------------------------
 
 
@@ -193,3 +215,37 @@ def test_exits_nonzero_without_the_program():
         shutil.rmtree(bare, ignore_errors=True)
     assert out.returncode != 0
     assert '"correct"' not in out.stdout
+
+
+# --- input digest ---------------------------------------------------------------
+
+
+def test_digest_repeats_with_fresh_keys_and_follows_the_wrapping(monkeypatch, tmp_path):
+    """Two builds of one seed get fresh RSA and AES keys but the same
+    digest; a change in how the host code wraps a signed request changes it."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import workloads
+
+    def digest(name):
+        return workloads.build("secured-tcp-open", 5, tmp_path / name, 2.0).digest
+
+    first = digest("a")
+    assert digest("b") == first
+    wrap = workloads.attach_signature
+    monkeypatch.setattr(workloads, "attach_signature",
+                        lambda *a: wrap(*a).replace(b"<SOAP-ENV:Body", b"\n<SOAP-ENV:Body"))
+    assert digest("c") != first
+
+
+def test_blank_keyed_keeps_everything_but_key_dependent_text():
+    sys.path.insert(0, str(ROOT / "src"))
+    import workloads
+
+    signed = (b'<h:Signature xmlns:h="urn:h" algorithm="RSA-SHA256"><h:Value>qRe5+/=='
+              b'</h:Value><h:SignerCert>---- cert ----\n12</h:SignerCert></h:Signature>'
+              b'<iv xmlns="" xsi:type="xsd:string">KlgX</iv><ivy>kept</ivy>')
+    assert workloads._blank_keyed(signed) == (
+        b'<h:Signature xmlns:h="urn:h" algorithm="RSA-SHA256"><h:Value>-</h:Value>'
+        b'<h:SignerCert>-</h:SignerCert></h:Signature>'
+        b'<iv xmlns="" xsi:type="xsd:string">-</iv><ivy>kept</ivy>'
+    )

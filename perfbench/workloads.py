@@ -5,9 +5,17 @@ registered, users present and, for secured services, key material
 already on disk, so no RSA key generation falls inside set-up time.
 It then builds every request as bytes, with the reply each must get.
 The same seed gives the same requests; ``Plan.digest`` hashes them so
-two commits can be shown to get the same inputs. Encrypted and signed
-requests depend on fresh RSA and AES keys, so for those the
-digest covers the plain envelope and how it is wrapped.
+two commits can be shown to get the same inputs. Signed and encrypted
+requests carry fresh RSA and AES key material, so for those the digest
+hashes the bytes sent with only the key-dependent text blanked
+(signature value, signer certificate, wrapped key, IV, ciphertext),
+plus the plain envelope inside the ciphertext. A change in how the host
+code wraps a request therefore changes the digest.
+
+The traffic mix (shares of signed, encrypted, bad and hit requests,
+users, calls per visit) is an assumption, not taken from a traffic
+record: the repository has none. README.md gives the reason for each
+value.
 
 Why these workloads:
 
@@ -24,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +67,12 @@ SOAP_ENCODING = "http://schemas.xmlsoap.org/soap/encoding/"
 NOTES_PATH = "/CadastroEscolar.jws"
 LABELS = ("NOTE 1", "NOTE 2", "NOTE 3", "REPLACEMENT", "FINAL TEST", "LACKS")
 
+# Traffic-mix values below are assumptions without a traffic record;
+# README.md ("Assumed traffic mix") gives the reason for each.
+
 # plain-http: consumer visits, each a WSDL fetch and then calls
 PLAIN_REQUESTS = 2000
+PLAIN_CALLS_PER_VISIT = (4, 12)
 PLAIN_BAD_SHARE = 0.03
 HIT_SHARE = 0.8
 
@@ -144,6 +157,17 @@ def call_envelope(namespace: str, method: str, params, headers=()) -> bytes:
     )
 
 
+# text of these elements depends on fresh key material
+_KEYED = re.compile(
+    rb"(<(?:[\w.-]+:)?(?:Value|SignerCert|wrappedKey|iv|ciphertext)(?:\s[^>]*)?>)[^<]*(</)"
+)
+
+
+def _blank_keyed(payload: bytes) -> bytes:
+    """``payload`` with the text of every key-dependent element replaced by '-'."""
+    return _KEYED.sub(rb"\1-\2", payload)
+
+
 def _digest(parts, order, schedule=None) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -226,7 +250,7 @@ def plain_http(rng: random.Random, work: Path, seconds: float) -> Plan:
     while len(requests) < PLAIN_REQUESTS:
         requests.append(http_get(f"{NOTES_PATH}?wsdl"))
         expects.append(("wsdl", wsdl))
-        for _ in range(rng.randint(4, 12)):
+        for _ in range(rng.randint(*PLAIN_CALLS_PER_VISIT)):
             s, d = _pick_pair(rng, records)
             params = [("codAluno", s), ("codDisciplina", d)]
             if rng.random() >= PLAIN_BAD_SHARE:
@@ -282,7 +306,7 @@ def secured_tcp_open(rng: random.Random, work: Path, seconds: float) -> Plan:
     wraps += ["encrypted"] * round(ENCRYPTED_SHARE * SECURED_POOL)
     wraps += ["plain"] * (SECURED_POOL - len(wraps))
     rng.shuffle(wraps)
-    requests, expects, logical = [], [], []
+    requests, expects, hashed = [], [], []
     for wrap in wraps:
         i = rng.randrange(USERS)
         auth = make_header_entry(auth_header_xml(
@@ -296,9 +320,8 @@ def secured_tcp_open(rng: random.Random, work: Path, seconds: float) -> Plan:
                 client.privateKey, client_cert,
             )
         elif wrap == "encrypted":
-            carrier = parse_envelope(encrypt_request(
-                call_envelope(NAMESPACE, "obterNotas", params), NAMESPACE, service_cert
-            ))
+            inner = call_envelope(NAMESPACE, "obterNotas", params)
+            carrier = parse_envelope(encrypt_request(inner, NAMESPACE, service_cert))
             payload = serialize_envelope(SoapEnvelope(
                 body=carrier.body,
                 headerEntries=carrier.headerEntries + (auth,),
@@ -308,7 +331,7 @@ def secured_tcp_open(rng: random.Random, work: Path, seconds: float) -> Plan:
             payload = call_envelope(NAMESPACE, "obterNotas", params, [auth])
         requests.append(frame(payload))
         expects.append(_result_expect(records, s, d))
-        logical.append(wrap.encode() + call_envelope(NAMESPACE, "obterNotas", params, [auth]))
+        hashed.append(_blank_keyed(payload) + (b"\0" + inner if wrap == "encrypted" else b""))
 
     schedule, t = [], rng.expovariate(SECURED_RATE_RPS)
     while t < seconds:
@@ -325,7 +348,7 @@ def secured_tcp_open(rng: random.Random, work: Path, seconds: float) -> Plan:
         order=order,
         warmup=100,
         probe=order[0],
-        digest=_digest(logical, order, schedule),
+        digest=_digest(hashed, order, schedule),
         schedule=schedule,
         verify_key_pem=verify_key.public_bytes(
             serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
