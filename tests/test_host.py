@@ -1,16 +1,24 @@
 """The request pipeline end to end: routing, fault attribution, auth,
 message security, lifecycle and robustness."""
 
+import collections
 import concurrent.futures
 import dataclasses
 import random
+import shutil
 import threading
 import time
 
 import pytest
 
 from mobilehost.canonical import body_canonical, canonicalize
-from mobilehost.errors import CorruptSnapshot, DuplicateService, HandlerError, NotFound
+from mobilehost.errors import (
+    CorruptSnapshot,
+    DuplicateService,
+    HandlerError,
+    NotFound,
+    ValidationError,
+)
 from mobilehost.host import (
     AuthHeader,
     Host,
@@ -588,3 +596,198 @@ class TestRobustness:
             resp = demo_host.handle_request(soap_request(payload))
             assert resp.status in (200, 400, 404, 500)
             assert isinstance(resp.body, bytes)
+
+
+# --- the fault matrix -----------------------------------------------------------
+#
+# One row per way a SOAP request can end, run against an authRequired host
+# whose services are all secured. Each row pins the whole answer: fault
+# code, string and detail, whether the reply is signed, the HTTP status,
+# and the one log entry (outcome, serviceName, methodName).
+
+
+class TrickyHandler:
+    def executeMethod(self, methodName, args):
+        if methodName == "crash":
+            raise HandlerError("deliberate failure")
+        if methodName == "reject":
+            raise ValidationError("handler-side check")
+        return TypedValue.of(XsdType.INT, 42)
+
+
+def tricky_descriptor():
+    return ServiceDescriptor(
+        serviceName="Tricky",
+        namespaceUri="http://localhost:5000/Tricky.jws",
+        endpointPath="/Tricky.jws",
+        responseNamespaceUri="http://localhost:5000/Tricky.jws",
+        methods=tuple(
+            MethodSignature(name, (ParameterSpec("text", XsdType.STRING),), XsdType.STRING)
+            for name in ("crash", "reject", "wrongType")
+        ),
+        securityEnabled=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def matrix_data_dir(tmp_path_factory):
+    """A stopped host's data dir: the secured demo, Tricky and Orphan (all
+    secured, keys already issued) and one user allowed everywhere."""
+    root = tmp_path_factory.mktemp("matrix")
+    host = make_host(root, secure_demo=True)
+    host.create_service(tricky_descriptor(), TrickyHandler())
+    host.create_service(simple_descriptor("Orphan", secure=True), UpperHandler())
+    host.registry.add_user(make_user("aluno1", "segredo", "dev1", {"*"}))
+    host.shutdown()
+    return root / "data"
+
+
+@pytest.fixture
+def matrix_host(matrix_data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(matrix_data_dir, data)
+    host = Host(HostConfig(bindings=(), dataDir=data, authRequired=True))
+    host.attach_handler("CadastroEscolar", NotesHandler())
+    host.attach_handler("Tricky", TrickyHandler())
+    return host  # Orphan is registered but has no handler
+
+
+def authed(method="obterNotas", params=(("codAluno", "A001"), ("codDisciplina", "D002")),
+           namespace="http://localhost:5000/CadastroEscolar.jws", headers=(),
+           types=None, password="segredo") -> bytes:
+    auth = auth_entry("aluno1", password_proof(password))
+    return call_envelope(method=method, params=params, namespace=namespace,
+                         headers=(auth, *headers), types=types)
+
+
+ENCRYPTED_MARKER = '<Encrypted xmlns="urn:mobilehost:headers">true</Encrypted>'
+TRICKY_NS = "http://localhost:5000/Tricky.jws"
+
+
+def signed_by(keys, cert_keys=None):
+    """A signed authed fig13-style call; cert_keys=None sends no SignerCert."""
+    def build(ctx):
+        cert_text = None
+        if cert_keys is not None:
+            cert_text = render_certificate_text(
+                issue_certificate(ctx[cert_keys], "Consumer/"))
+        return attach_signature(authed(), ctx[keys].privateKey, cert_text)
+    return build
+
+
+def with_signer_cert(edit):
+    """A correctly signed authed call whose SignerCert text is edited."""
+    def build(ctx):
+        cert_text = render_certificate_text(issue_certificate(ctx["keypair"], "Consumer/"))
+        return attach_signature(authed(), ctx["keypair"].privateKey, edit(cert_text))
+    return build
+
+
+Expect = collections.namedtuple(
+    "Expect", "code string detail signed status outcome service method")
+
+FAULT_MATRIX = [
+    ("not_xml", lambda ctx: b"this is not xml",
+     Expect("Client", "syntax error: line 1, column 0", None, False, 500,
+            "clientFault", "", "")),
+    ("dtd", lambda ctx: b'<!DOCTYPE d [<!ENTITY x "Q">]>' + ctx["fig13"],
+     Expect("Client", "DTD markup is not accepted", None, False, 500,
+            "clientFault", "", "")),
+    ("response_as_request", lambda ctx: ctx["fig14"],
+     Expect("Client", "request body must be a method call", None, False, 500,
+            "clientFault", "", "")),
+    ("missing_auth", lambda ctx: call_envelope(),
+     Expect("Client", "access denied", "missing Auth header", False, 500,
+            "denied", "", "obterNotas")),
+    ("unreadable_auth", lambda ctx: call_envelope(headers=(make_header_entry(
+        '<Auth xmlns="urn:mobilehost:headers"><Login>aluno1</Login></Auth>'),)),
+     Expect("Client", "access denied", "unreadable Auth header", False, 500,
+            "denied", "", "obterNotas")),
+    ("unknown_path", lambda ctx: authed(namespace="http://localhost:5000/Nowhere.jws"),
+     Expect("Client", "unknown service: /Nowhere.jws", None, False, 500,
+            "clientFault", "", "obterNotas")),
+    ("wrong_password", lambda ctx: authed(password="wrong"),
+     Expect("Client", "access denied", None, False, 500,
+            "denied", "CadastroEscolar", "obterNotas")),
+    ("unreadable_signature", lambda ctx: authed(headers=(make_header_entry(
+        '<Signature xmlns="urn:mobilehost:headers" algorithm="RSA-SHA256" />'),)),
+     Expect("Client", "unreadable Signature header", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("bad_signature", signed_by("keypair", cert_keys="other_keypair"),
+     Expect("Client", "signature verification failed", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("signature_without_signer_cert", signed_by("keypair"),
+     Expect("Client", "signature without signer certificate", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("decrypt_garbage", lambda ctx: authed(
+        method="EncryptedRequest",
+        params=(("wrappedKey", "AAAA"), ("iv", "AAAA"), ("ciphertext", "AAAA")),
+        headers=(make_header_entry(ENCRYPTED_MARKER),)),
+     Expect("Client", "decryption failed", None, True, 500,
+            "clientFault", "CadastroEscolar", "EncryptedRequest")),
+    ("wrong_carrier_shape", lambda ctx: authed(headers=(make_header_entry(ENCRYPTED_MARKER),)),
+     Expect("Client", "encrypted requests must be an EncryptedRequest carrier call", None,
+            True, 500, "clientFault", "CadastroEscolar", "obterNotas")),
+    ("unknown_method", lambda ctx: authed(method="nope", params=()),
+     Expect("Client", "unknown method: nope", None, True, 500,
+            "clientFault", "CadastroEscolar", "nope")),
+    ("arity", lambda ctx: authed(params=(("codAluno", "A001"),)),
+     Expect("Client", "expected 2 parameter(s), got 1", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("type", lambda ctx: authed(params=(("codAluno", "7"), ("codDisciplina", "D002")),
+                                types={"codAluno": XsdType.INT}),
+     Expect("Client", "parameter 'codAluno': expected string, got int", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("no_handler", lambda ctx: authed(method="shout", params=(("text", "x"),),
+                                      namespace="http://localhost:5000/Orphan.jws"),
+     Expect("Server", "no handler attached to service", None, True, 500,
+            "serverFault", "Orphan", "shout")),
+    ("handler_error", lambda ctx: authed(method="crash", params=(("text", "x"),),
+                                         namespace=TRICKY_NS),
+     Expect("Server", "handler failure", "deliberate failure", True, 500,
+            "serverFault", "Tricky", "crash")),
+    ("handler_validation_error", lambda ctx: authed(method="reject", params=(("text", "x"),),
+                                                    namespace=TRICKY_NS),
+     Expect("Server", "handler failure", "handler-side check", True, 500,
+            "serverFault", "Tricky", "reject")),
+    ("wrong_return_type", lambda ctx: authed(method="wrongType", params=(("text", "x"),),
+                                             namespace=TRICKY_NS),
+     Expect("Server", "handler returned int, signature declares string", None, True, 500,
+            "serverFault", "Tricky", "wrongType")),
+    ("malformed", lambda ctx: ctx["fig13"],
+     Expect("Client", "malformed request", None, False, 400, None, None, None)),
+    ("success", lambda ctx: authed(),
+     Expect(None, None, None, True, 200, "ok", "CadastroEscolar", "obterNotas")),
+]
+
+
+@pytest.mark.parametrize("build, expect", [row[1:] for row in FAULT_MATRIX],
+                         ids=[row[0] for row in FAULT_MATRIX])
+def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
+                      fig13_bytes, fig14_bytes):
+    ctx = {"keypair": keypair, "other_keypair": other_keypair,
+           "fig13": fig13_bytes, "fig14": fig14_bytes}
+    payload = build(ctx)
+    req = soap_request(payload)
+    req.classification = "malformed" if expect.outcome is None else "soap"
+    resp = matrix_host.handle_request(req)
+
+    assert resp.status == expect.status
+    env = parse_envelope(resp.body)
+    if expect.code is None:
+        assert not isinstance(env.body, SoapFault)
+    else:
+        assert (env.body.faultcode, env.body.faultstring, env.body.detail) == (
+            expect.code, expect.string, expect.detail)
+    signed = env.header(SIGNATURE_HEADER) is not None
+    assert signed == expect.signed
+    if signed:
+        cert = matrix_host.service_certificate(expect.service)
+        assert verify_envelope_signature(resp.body, cert) is True
+
+    log = matrix_host.registry.log_entries()
+    if expect.outcome is None:
+        assert log == []
+    else:
+        assert [(e.outcome, e.serviceName, e.methodName) for e in log] == [
+            (expect.outcome, expect.service, expect.method)]
