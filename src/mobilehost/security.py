@@ -265,7 +265,7 @@ def verify_certificate(cert: Certificate) -> bool:
             hashes.SHA256(),
         )
         return True
-    except InvalidSignature:
+    except (InvalidSignature, ValueError):  # ValueError: no RSA key has these numbers
         return False
 
 
@@ -291,7 +291,8 @@ def render_certificate_text(cert: Certificate) -> str:
 
 
 def parse_certificate_text(text: str) -> Certificate:
-    """Companion parser for render_certificate_text output."""
+    """Companion parser for render_certificate_text output. Any text it
+    cannot read raises ValueError."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "----- Begin Certificate -----":
         raise ValueError("missing certificate banner")
@@ -327,6 +328,8 @@ def parse_certificate_text(text: str) -> Certificate:
     modulus = int("".join(modulus_digits))
     sig_number = int("".join(sig_digits))
     key_bytes = (modulus.bit_length() + 7) // 8
+    if sig_number.bit_length() > key_bytes * 8:
+        raise ValueError("certificate signature is longer than its modulus")
     return Certificate(
         versionLabel=version,
         serial=serial,

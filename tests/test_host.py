@@ -719,6 +719,14 @@ FAULT_MATRIX = [
     ("signature_without_signer_cert", signed_by("keypair"),
      Expect("Client", "signature without signer certificate", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
+    ("signer_cert_bad_exponent",
+     with_signer_cert(lambda text: text.replace("public exponent:65537", "public exponent:4")),
+     Expect("Client", "invalid signer certificate", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
+    ("signer_cert_signature_longer_than_modulus",
+     with_signer_cert(lambda text: text.replace("Signature:\n", "Signature:\n" + "9" * 43 + "\n")),
+     Expect("Client", "unreadable signer certificate", None, True, 500,
+            "clientFault", "CadastroEscolar", "obterNotas")),
     ("decrypt_garbage", lambda ctx: authed(
         method="EncryptedRequest",
         params=(("wrappedKey", "AAAA"), ("iv", "AAAA"), ("ciphertext", "AAAA")),

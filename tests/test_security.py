@@ -1,5 +1,6 @@
 """Keypairs, signature soundness, hybrid encryption, certificates."""
 
+import dataclasses
 import datetime
 import random
 import re
@@ -146,8 +147,6 @@ class TestCertificates:
         assert verify_certificate(self.make(keypair)) is True
 
     def test_forged_field_breaks_self_signature(self, keypair):
-        import dataclasses
-
         cert = dataclasses.replace(self.make(keypair), subjectDN="Impostor/")
         assert verify_certificate(cert) is False
 
@@ -200,6 +199,28 @@ class TestCertificates:
         again = parse_certificate_text(render_certificate_text(cert))
         assert again == cert
         assert verify_certificate(again) is True
+
+    def test_invalid_key_numbers_fail_verification(self, keypair):
+        cert = dataclasses.replace(self.make(keypair), exponent=4)
+        assert verify_certificate(cert) is False
+
+    def test_signature_longer_than_modulus_is_unreadable(self, keypair):
+        text = render_certificate_text(self.make(keypair))
+        text = text.replace("Signature:\n", "Signature:\n" + "9" * 43 + "\n")
+        with pytest.raises(ValueError):
+            parse_certificate_text(text)
+
+    def test_mangled_text_raises_only_value_error(self, keypair):
+        text = render_certificate_text(self.make(keypair))
+        rng = random.Random(7)
+        for _ in range(300):
+            chars = list(text)
+            for _ in range(rng.randrange(1, 6)):
+                chars[rng.randrange(len(chars))] = rng.choice("0123456789:\n -xZ")
+            try:
+                parse_certificate_text("".join(chars))
+            except ValueError:
+                pass
 
     def test_serial_is_decimal_token_bytes(self):
         serial = make_serial(1218649078123)
