@@ -3,7 +3,7 @@ them over pluggable transports, and secure messages end to end."""
 
 from .canonical import body_canonical, canonicalize
 from .errors import MobileHostError
-from .host import AuthHeader, Host, HostConfig, init_host
+from .host import AuthHeader, Host, HostConfig
 from .registry import (
     Registry,
     RequestLogEntry,

@@ -16,13 +16,32 @@ from .errors import MalformedXml
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 
 
+def _xml_text(raw) -> str:
+    """Decode UTF-8 input and refuse DTD markup."""
+    if not isinstance(raw, str):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MalformedXml(f"payload is not UTF-8: {e}") from None
+    if "<!DOCTYPE" in raw or "<!ENTITY" in raw:
+        raise MalformedXml("DTD markup is not accepted")
+    return raw
+
+
+def parse_xml(raw) -> ET.Element:
+    """Parse UTF-8 bytes or text into an element tree. Every reader of
+    received XML goes through here, so a document that is not UTF-8,
+    carries DTD markup or is not well-formed raises MalformedXml."""
+    try:
+        return ET.fromstring(_xml_text(raw))
+    except ET.ParseError as e:
+        raise MalformedXml(str(e)) from None
+
+
 def canonicalize(raw) -> bytes:
     """Canonical byte form of a well-formed XML document. Idempotent."""
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    if "<!DOCTYPE" in text or "<!ENTITY" in text:
-        raise MalformedXml("DTD markup is not accepted")
     try:
-        return ET.canonicalize(text, strip_text=True).encode("utf-8")
+        return ET.canonicalize(_xml_text(raw), strip_text=True).encode("utf-8")
     except ET.ParseError as e:
         raise MalformedXml(str(e)) from None
 
@@ -34,14 +53,7 @@ def body_canonical(envelope_xml) -> bytes:
     signer and the verifier call this on the same wire bytes, so header
     insertion or removal never invalidates a signature.
     """
-    text = envelope_xml.decode("utf-8") if isinstance(envelope_xml, bytes) else envelope_xml
-    if "<!DOCTYPE" in text or "<!ENTITY" in text:
-        raise MalformedXml("DTD markup is not accepted")
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as e:
-        raise MalformedXml(str(e)) from None
-    body = root.find(f"{{{SOAP_ENV_NS}}}Body")
+    body = parse_xml(envelope_xml).find(f"{{{SOAP_ENV_NS}}}Body")
     if body is None:
         raise MalformedXml("envelope has no Body")
     return canonicalize(ET.tostring(body, encoding="unicode"))

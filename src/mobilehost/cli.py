@@ -11,8 +11,9 @@ import argparse
 import http.client
 import signal
 import sys
-import threading
+import time
 from pathlib import Path
+from typing import Optional
 from urllib.parse import urlsplit
 
 from . import security
@@ -174,6 +175,19 @@ def build_host(args) -> Host:
 
 
 def cmd_serve(args) -> int:
+    stopping = False
+
+    def request_stop(*_):
+        # takes no lock: it may run between any two bytecodes of the main thread
+        nonlocal stopping
+        stopping = True
+
+    # installed before start so a signal that arrives early still stops gracefully
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(sig, request_stop)
+        except ValueError:
+            pass  # not the main thread
     try:
         host = build_host(args)
         host.start()
@@ -183,14 +197,9 @@ def cmd_serve(args) -> int:
     for binding in host.cfg.bindings:
         print(f"listening on {binding.kind}://{binding.address}:{binding.port}")
     print("ready", flush=True)
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(sig, lambda *_: stop.set())
-        except ValueError:
-            pass  # not the main thread
     try:
-        stop.wait()
+        while not stopping:
+            time.sleep(0.1)
     finally:
         host.shutdown()
     return EXIT_OK
@@ -199,31 +208,20 @@ def cmd_serve(args) -> int:
 # --- invoke ----------------------------------------------------------------
 
 
-def http_post(url: str, body: bytes, timeout: float = 10.0) -> tuple:
-    """POST a SOAP payload; returns (status, body bytes)."""
+def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) -> tuple:
+    """GET the URL, or POST body to it as a SOAP payload; returns
+    (status, body bytes)."""
     parts = urlsplit(url)
+    target = parts.path or "/"
+    if parts.query:
+        target += f"?{parts.query}"
     conn = http.client.HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
     try:
-        conn.request(
-            "POST",
-            parts.path or "/",
-            body=body,
-            headers={"Content-Type": "text/xml; charset=utf-8", "SOAPAction": '""'},
-        )
-        resp = conn.getresponse()
-        return resp.status, resp.read()
-    finally:
-        conn.close()
-
-
-def http_get(url: str, timeout: float = 10.0) -> tuple:
-    parts = urlsplit(url)
-    conn = http.client.HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
-    try:
-        target = parts.path or "/"
-        if parts.query:
-            target += f"?{parts.query}"
-        conn.request("GET", target)
+        if body is None:
+            conn.request("GET", target)
+        else:
+            conn.request("POST", target, body=body, headers={
+                "Content-Type": "text/xml; charset=utf-8", "SOAPAction": '""'})
         resp = conn.getresponse()
         return resp.status, resp.read()
     finally:
@@ -231,7 +229,7 @@ def http_get(url: str, timeout: float = 10.0) -> tuple:
 
 
 def fetch_descriptor(url: str, timeout: float = 10.0):
-    status, body = http_get(f"{url}?wsdl", timeout=timeout)
+    status, body = http_request(f"{url}?wsdl", timeout=timeout)
     if status != 200:
         raise IoFailure(f"WSDL fetch failed with status {status}")
     return parse_wsdl(body)
@@ -313,7 +311,7 @@ def cmd_invoke(args) -> int:
                                    Path(args.signer_cert).read_text())
 
     try:
-        status, body = http_post(args.url, payload, timeout=args.timeout)
+        status, body = http_request(args.url, payload, timeout=args.timeout)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -344,7 +342,7 @@ def cmd_invoke(args) -> int:
 
 def cmd_describe(args) -> int:
     try:
-        status, body = http_get(f"{args.url}?wsdl", timeout=args.timeout)
+        status, body = http_request(f"{args.url}?wsdl", timeout=args.timeout)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

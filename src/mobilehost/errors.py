@@ -1,14 +1,24 @@
 """Exception taxonomy for the mobile host.
 
-Every error that can reach a remote caller maps onto one of the four
-SOAP 1.1 fault codes; ``fault_code_for`` owns that mapping.
+``fault_code_for`` is the one mapping from an error to a SOAP 1.1 fault
+code: caller mistakes (codec and validation errors, unknown services,
+denied access, bad signatures, undecryptable requests) are ``Client``
+faults, everything else is ``Server``. The host's SOAP pipeline calls
+it in one place; the error's message becomes the faultstring and its
+``detail`` the fault detail.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class MobileHostError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, *args, detail: Optional[str] = None):
+        super().__init__(*args)
+        self.detail = detail
 
 
 # --- codec ---------------------------------------------------------------
@@ -72,7 +82,17 @@ class ReturnTypeMismatch(MobileHostError):
 
 
 class HandlerError(MobileHostError):
-    """Raised by a service handler to signal a failure during execution."""
+    """Raised by a service handler to signal a failure during execution.
+    The host wraps whatever a handler raises in one of these."""
+
+
+# --- access --------------------------------------------------------------
+
+class AccessDenied(MobileHostError):
+    """Credentials missing, unreadable or not good for the service."""
+
+    def __init__(self, detail: Optional[str] = None):
+        super().__init__("access denied", detail=detail)
 
 
 # --- wsdl ----------------------------------------------------------------
@@ -135,6 +155,6 @@ class PeerGone(MobileHostError):
 def fault_code_for(exc: Exception) -> str:
     """Map an exception to the SOAP 1.1 fault code the caller should see."""
     if isinstance(exc, (ValidationError, MalformedXml, NotSoap, UnsupportedType,
-                        NotFound, DecryptFailure, MalformedSignature)):
+                        NotFound, DecryptFailure, MalformedSignature, AccessDenied)):
         return "Client"
     return "Server"

@@ -1,11 +1,17 @@
 """Host lifecycle and the request pipeline.
 
-A request travels: classify -> parse -> authenticate -> route ->
-verify inbound signature (if present) -> decrypt (if marked) ->
-validate -> execute -> coerce -> sign (if the service is secured) ->
-respond. Every failure surfaces as a SOAP fault: caller mistakes as
-Client faults, handler and host failures as Server faults. No input
-byte sequence may leave the pipeline without a response.
+A SOAP request runs through a straight sequence of stages: parse ->
+authenticate -> route -> authorize -> verify the inbound signature (if
+present) -> decrypt (if marked) -> validate -> execute -> coerce,
+serialize and sign (if the service is secured). Each stage returns its
+result or raises a typed ``MobileHostError``. ``Host._handle_soap``
+turns such an error into a fault in one place: ``fault_code_for`` picks
+Client or Server, the fault is signed iff the caller got past
+authorization to a secured service, and one log entry records the
+service and method the request reached. Whatever a handler raises
+becomes a Server "handler failure". No input byte sequence may leave
+the pipeline without a response: any other exception is answered with
+a Server "internal host error".
 
 Wire conventions owned here (see docs/wire-format.md):
 
@@ -24,32 +30,32 @@ Wire conventions owned here (see docs/wire-format.md):
 
 from __future__ import annotations
 
+import contextlib
 import mimetypes
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
 
 from . import security
-from .canonical import body_canonical
+from .canonical import body_canonical, parse_xml
 from .errors import (
-    DecryptFailure,
+    AccessDenied,
     DuplicateService,
+    HandlerError,
     IoFailure,
     MalformedSignature,
     MalformedXml,
     MobileHostError,
     NotFound,
-    NotSoap,
-    UnsupportedType,
-    ValidationError,
+    fault_code_for,
 )
 from .registry import Registry, RequestLogEntry, ServiceRecord
 from .security import CipherEnvelope, KeyStore, SignatureBlock
 from .service import (
+    MethodSignature,
     ServiceDescriptor,
     ServiceHandler,
     coerce_result,
@@ -80,8 +86,6 @@ ENCRYPTED_HEADER = QName("Encrypted", HEADERS_NS)
 ENCRYPTED_OPERATION = "EncryptedRequest"
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
-
-_CODEC_ERRORS = (MalformedXml, NotSoap, UnsupportedType)
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def auth_header_xml(auth: AuthHeader) -> str:
 
 
 def parse_auth_header(raw_xml: str) -> AuthHeader:
-    el = ET.fromstring(raw_xml)
+    el = parse_xml(raw_xml)
     fields = {}
     for child in el:
         fields[child.tag.rsplit("}", 1)[-1]] = child.text or ""
@@ -158,7 +162,7 @@ def signature_header_xml(sig: SignatureBlock, signer_cert_text: Optional[str] = 
 
 def parse_signature_header(raw_xml: str):
     """Return (SignatureBlock, signer certificate text or None)."""
-    el = ET.fromstring(raw_xml)
+    el = parse_xml(raw_xml)
     value = None
     cert_text = None
     for child in el:
@@ -205,18 +209,14 @@ def attach_signature(
 def verify_envelope_signature(envelope_xml: bytes, cert: security.Certificate):
     """True/False per the embedded signature; None if there is none."""
     try:
-        env = parse_envelope(envelope_xml)
-    except _CODEC_ERRORS:
-        return False
-    raw = env.header(SIGNATURE_HEADER)
-    if raw is None:
-        return None
-    try:
+        raw = parse_envelope(envelope_xml).header(SIGNATURE_HEADER)
+        if raw is None:
+            return None
         block, _ = parse_signature_header(raw)
         return security.verify_signature(
             body_canonical(envelope_xml), block, cert.public_key()
         )
-    except (MalformedSignature, MalformedXml):
+    except MobileHostError:
         return False
 
 
@@ -298,12 +298,6 @@ class Host:
         self._started = False
         self._stopped = True
 
-    def loopback(self):
-        for listener in self._listeners:
-            if listener.kind == "loopback":
-                return listener
-        return None
-
     def listener(self, kind: str):
         for listener in self._listeners:
             if listener.kind == kind:
@@ -378,21 +372,11 @@ class Host:
             if req.classification == "web":
                 return self._handle_web(req)
             if req.classification == "malformed":
-                return self._fault_response(
-                    "Client", "malformed request", status=400
-                )
+                return _xml_response(400, make_fault("Client", "malformed request"))
             return self._handle_soap(req)
         except Exception:
             # absolute backstop: no input may go unanswered
-            return self._fault_response("Server", "internal host error", status=500)
-
-    def _fault_response(self, code: str, message: str, detail: Optional[str] = None,
-                        status: int = 500, sign_for: Optional[str] = None) -> OutboundResponse:
-        xml = serialize_envelope(make_fault(code, message, detail))
-        if sign_for is not None and sign_for in self._keys:
-            kp, _ = self._keys[sign_for]
-            xml = attach_signature(xml, kp.privateKey)
-        return OutboundResponse(status=status, contentType=XML_CONTENT_TYPE, body=xml)
+            return _xml_response(500, make_fault("Server", "internal host error"))
 
     # --- web branch ---------------------------------------------------------
 
@@ -433,12 +417,30 @@ class Host:
 
     def _handle_soap(self, req: InboundRequest) -> OutboundResponse:
         started = time.perf_counter()
-        service_name = ""
-        method_name = ""
+        service_name = method_name = ""
+        signing_key = None  # set once the caller is authorized for a secured service
         outcome = "serverFault"
         try:
-            resp, service_name, method_name, outcome = self._soap_pipeline(req)
-            return resp
+            env, call = _parse_call(req.payload, "request body must be a method call")
+            method_name = call.operation.localName
+            auth = self._authenticate(env)
+            desc = self._route(req.path, call)
+            service_name = desc.serviceName
+            self._authorize(auth, service_name)
+            if desc.securityEnabled and service_name in self._keys:
+                signing_key = self._keys[service_name][0].privateKey
+                _verify_inbound_signature(req.payload, env)
+                if env.header(ENCRYPTED_HEADER) is not None:
+                    call = _decrypt_carrier(call, signing_key)
+                    method_name = call.operation.localName
+            sig = validate_call(desc, call)
+            response = _respond(desc, sig, self._execute(desc, sig, call), signing_key)
+            outcome = "ok"
+            return response
+        except MobileHostError as e:
+            code = fault_code_for(e)
+            outcome = "denied" if isinstance(e, AccessDenied) else code.lower() + "Fault"
+            return _xml_response(500, make_fault(code, str(e), e.detail), signing_key)
         finally:
             self.registry.append_log(
                 RequestLogEntry(
@@ -450,196 +452,112 @@ class Host:
                 )
             )
 
-    def _soap_pipeline(self, req: InboundRequest):
-        service_name = ""
-        method_name = ""
-
-        # parse
+    def _authenticate(self, env: SoapEnvelope) -> Optional[AuthHeader]:
+        """Credentials are present and readable when the host requires them."""
+        if not self.cfg.authRequired:
+            return None
+        raw = env.header(AUTH_HEADER)
+        if raw is None:
+            raise AccessDenied(detail="missing Auth header")
         try:
-            env = parse_envelope(req.payload)
-        except _CODEC_ERRORS as e:
-            return self._fault_response("Client", str(e)), "", "", "clientFault"
-        if not isinstance(env.body, SoapCall):
-            return (
-                self._fault_response("Client", "request body must be a method call"),
-                "", "", "clientFault",
-            )
-        call = env.body
-        method_name = call.operation.localName
+            return parse_auth_header(raw)
+        except MalformedXml:
+            raise AccessDenied(detail="unreadable Auth header") from None
 
-        # authenticate (credentials present and valid)
-        auth = None
-        if self.cfg.authRequired:
-            raw = env.header(AUTH_HEADER)
-            if raw is None:
-                return (
-                    self._fault_response("Client", "access denied",
-                                         detail="missing Auth header"),
-                    "", method_name, "denied",
-                )
-            try:
-                auth = parse_auth_header(raw)
-            except (MalformedXml, ET.ParseError):
-                return (
-                    self._fault_response("Client", "access denied",
-                                         detail="unreadable Auth header"),
-                    "", method_name, "denied",
-                )
-
-        # route
-        path = req.path or _path_from_namespace(call.operation.namespaceUri)
+    def _route(self, path: str, call: SoapCall) -> ServiceDescriptor:
+        """The request path, or else the path of the call's namespace URI."""
+        path = path or urlsplit(call.operation.namespaceUri).path
         try:
-            rec = self.registry.lookup_by_path(path) if path else None
+            return self.registry.lookup_by_path(path).descriptor
         except NotFound:
-            rec = None
-        if rec is None:
-            return (
-                self._fault_response("Client", f"unknown service: {path or '(no path)'}"),
-                "", method_name, "clientFault",
-            )
-        desc = rec.descriptor
-        service_name = desc.serviceName
-        secured = desc.securityEnabled and service_name in self._keys
+            raise NotFound(f"unknown service: {path or '(no path)'}") from None
 
-        # authorize
+    def _authorize(self, auth: Optional[AuthHeader], service_name: str) -> None:
         if auth is not None and not self.registry.check_access_proof(
             auth.login, auth.passwordProof, service_name
         ):
-            return (
-                self._fault_response("Client", "access denied", sign_for=None),
-                service_name, method_name, "denied",
-            )
+            raise AccessDenied()
 
-        # inbound signature, verified when the sender attached one
-        sig_raw = env.header(SIGNATURE_HEADER)
-        if secured and sig_raw is not None:
-            ok, why = self._verify_inbound_signature(req.payload, sig_raw)
-            if not ok:
-                return (
-                    self._fault_response("Client", why, sign_for=service_name),
-                    service_name, method_name, "clientFault",
-                )
-
-        # decrypt
-        if secured and env.header(ENCRYPTED_HEADER) is not None:
-            try:
-                env, call = self._decrypt_carrier(call, service_name)
-            except (DecryptFailure, *_CODEC_ERRORS) as e:
-                return (
-                    self._fault_response("Client", str(e), sign_for=service_name),
-                    service_name, method_name, "clientFault",
-                )
-            method_name = call.operation.localName
-
-        # validate
-        try:
-            sig = validate_call(desc, call)
-        except ValidationError as e:
-            return (
-                self._fault_response("Client", str(e), sign_for=service_name),
-                service_name, method_name, "clientFault",
-            )
-
-        # execute
-        handler = self._handlers.get(service_name)
+    def _execute(self, desc: ServiceDescriptor, sig: MethodSignature,
+                 call: SoapCall) -> TypedValue:
+        """Run the handler; whatever it raises becomes a HandlerError."""
+        handler = self._handlers.get(desc.serviceName)
         if handler is None:
-            return (
-                self._fault_response("Server", "no handler attached to service",
-                                     sign_for=service_name),
-                service_name, method_name, "serverFault",
-            )
-        args = [value for _, value in call.params]
-        lock = self._service_locks.get(service_name) if desc.exclusiveExecution else None
+            raise HandlerError("no handler attached to service")
+        lock = self._service_locks.get(desc.serviceName) if desc.exclusiveExecution else None
         try:
-            if lock is not None:
-                with lock:
-                    raw_result = handler.executeMethod(sig.name, args)
-            else:
-                raw_result = handler.executeMethod(sig.name, args)
+            with lock or contextlib.nullcontext():
+                return handler.executeMethod(sig.name, [value for _, value in call.params])
         except Exception as e:
-            return (
-                self._fault_response("Server", "handler failure", detail=str(e),
-                                     sign_for=service_name),
-                service_name, method_name, "serverFault",
-            )
+            raise HandlerError("handler failure", detail=str(e)) from e
 
-        # coerce and respond
-        try:
-            result = coerce_result(sig, raw_result)
-        except MobileHostError as e:
-            return (
-                self._fault_response("Server", str(e), sign_for=service_name),
-                service_name, method_name, "serverFault",
-            )
-        response = SoapEnvelope(
-            body=SoapResponseBody(
-                operation=QName(sig.name + "Response", desc.responseNamespaceUri),
-                resultName=sig.name + "Result",
-                result=result,
-            )
+
+def _parse_call(payload: bytes, not_a_call: str) -> tuple:
+    """The envelope and the method call it carries."""
+    env = parse_envelope(payload)
+    if not isinstance(env.body, SoapCall):
+        raise MalformedXml(not_a_call)
+    return env, env.body
+
+
+def _verify_inbound_signature(payload: bytes, env: SoapEnvelope) -> None:
+    """Check the Signature header a sender attached, if there is one."""
+    raw = env.header(SIGNATURE_HEADER)
+    if raw is None:
+        return
+    try:
+        block, cert_text = parse_signature_header(raw)
+    except (MalformedSignature, MalformedXml):
+        raise MalformedSignature("unreadable Signature header") from None
+    if not cert_text:
+        raise MalformedSignature("signature without signer certificate")
+    try:
+        cert = security.parse_certificate_text(cert_text)
+    except ValueError:
+        raise MalformedSignature("unreadable signer certificate") from None
+    if not security.verify_certificate(cert):
+        raise MalformedSignature("invalid signer certificate")
+    try:
+        ok = security.verify_signature(body_canonical(payload), block, cert.public_key())
+    except MalformedSignature:
+        ok = False
+    if not ok:
+        raise MalformedSignature("signature verification failed")
+
+
+def _decrypt_carrier(call: SoapCall, private_key) -> SoapCall:
+    """The call inside an EncryptedRequest carrier."""
+    params = {name: tv.lexical for name, tv in call.params}
+    if call.operation.localName != ENCRYPTED_OPERATION or set(params) != {
+        "wrappedKey", "iv", "ciphertext"
+    }:
+        raise MalformedXml(
+            "encrypted requests must be an EncryptedRequest carrier call"
         )
-        xml = serialize_envelope(response)
-        if secured:
-            kp, _ = self._keys[service_name]
-            xml = attach_signature(xml, kp.privateKey)
-        return (
-            OutboundResponse(200, XML_CONTENT_TYPE, xml),
-            service_name, method_name, "ok",
+    plain = security.decrypt_message(CipherEnvelope(**params), private_key)
+    return _parse_call(plain, "decrypted payload is not a method call")[1]
+
+
+def _respond(desc: ServiceDescriptor, sig: MethodSignature, raw_result: TypedValue,
+             signing_key) -> OutboundResponse:
+    """Coerce the handler's result, then serialize and sign the response."""
+    result = coerce_result(sig, raw_result)
+    response = SoapEnvelope(
+        body=SoapResponseBody(
+            operation=QName(sig.name + "Response", desc.responseNamespaceUri),
+            resultName=sig.name + "Result",
+            result=result,
         )
-
-    def _verify_inbound_signature(self, payload: bytes, sig_raw: str):
-        try:
-            block, cert_text = parse_signature_header(sig_raw)
-        except (MalformedSignature, ET.ParseError):
-            return False, "unreadable Signature header"
-        if not cert_text:
-            return False, "signature without signer certificate"
-        try:
-            cert = security.parse_certificate_text(cert_text)
-        except ValueError:
-            return False, "unreadable signer certificate"
-        if not security.verify_certificate(cert):
-            return False, "invalid signer certificate"
-        try:
-            if not security.verify_signature(
-                body_canonical(payload), block, cert.public_key()
-            ):
-                return False, "signature verification failed"
-        except MalformedSignature:
-            return False, "signature verification failed"
-        return True, ""
-
-    def _decrypt_carrier(self, call: SoapCall, service_name: str):
-        params = dict((name, tv.lexical) for name, tv in call.params)
-        if call.operation.localName != ENCRYPTED_OPERATION or set(params) != {
-            "wrappedKey", "iv", "ciphertext"
-        }:
-            raise MalformedXml(
-                "encrypted requests must be an EncryptedRequest carrier call"
-            )
-        kp, _ = self._keys[service_name]
-        plain = security.decrypt_message(
-            CipherEnvelope(
-                wrappedKey=params["wrappedKey"],
-                iv=params["iv"],
-                ciphertext=params["ciphertext"],
-            ),
-            kp.privateKey,
-        )
-        env = parse_envelope(plain)
-        if not isinstance(env.body, SoapCall):
-            raise MalformedXml("decrypted payload is not a method call")
-        return env, env.body
+    )
+    return _xml_response(200, response, signing_key)
 
 
-def _path_from_namespace(namespace_uri: str) -> str:
-    return urlsplit(namespace_uri).path if namespace_uri else ""
+def _xml_response(status: int, env: SoapEnvelope, signing_key=None) -> OutboundResponse:
+    xml = serialize_envelope(env)
+    if signing_key is not None:
+        xml = attach_signature(xml, signing_key)
+    return OutboundResponse(status, XML_CONTENT_TYPE, xml)
 
 
 def _plain(status: int, text: str) -> OutboundResponse:
     return OutboundResponse(status, "text/plain; charset=utf-8", text.encode("utf-8"))
-
-
-def init_host(cfg: HostConfig) -> Host:
-    """Load the registry and key store; listeners stay down until start()."""
-    return Host(cfg)

@@ -11,6 +11,7 @@ bit-exact and parses back to an equal certificate.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import os
 import stat
 import time
@@ -177,18 +178,18 @@ def _wrap_digits(number: int) -> str:
     )
 
 
-def _tbs_text(cert_fields: dict) -> str:
+def _tbs_text(cert: Certificate) -> str:
     """The byte-stable field rendering the self-signature covers."""
     return (
-        f"Type: {cert_fields['versionLabel']}\n"
-        f"Serial number: {_serial_text(cert_fields['serial'])}\n"
-        f"SubjectDN: {cert_fields['subjectDN']}\n"
-        f"IssuerDN: {cert_fields['issuerDN']}\n"
-        f"Start Date: {_format_cert_date(cert_fields['notBefore'])}\n"
-        f"Final Date: {_format_cert_date(cert_fields['notAfter'])}\n"
+        f"Type: {cert.versionLabel}\n"
+        f"Serial number: {_serial_text(cert.serial)}\n"
+        f"SubjectDN: {cert.subjectDN}\n"
+        f"IssuerDN: {cert.issuerDN}\n"
+        f"Start Date: {_format_cert_date(cert.notBefore)}\n"
+        f"Final Date: {_format_cert_date(cert.notAfter)}\n"
         f"Public Key: RSA\n"
-        f"modulus:\n{_wrap_digits(cert_fields['modulus'])}\n"
-        f"public exponent:{cert_fields['exponent']}\n"
+        f"modulus:\n{_wrap_digits(cert.modulus)}\n"
+        f"public exponent:{cert.exponent}\n"
         f"Signature Algorithm: RSA"
     )
 
@@ -217,50 +218,30 @@ def issue_certificate(
         raise ValueError("validityDays must be >= 1")
     if not_before is None:
         not_before = datetime.now(timezone.utc).replace(microsecond=0)
-    not_after = not_before + timedelta(days=validityDays)
-    fields = {
-        "versionLabel": "X.509v1",
-        "serial": serial if serial is not None else make_serial(),
-        "subjectDN": subjectDN,
-        "issuerDN": subjectDN,
-        "notBefore": not_before,
-        "notAfter": not_after,
-        "modulus": kp.modulus,
-        "exponent": kp.exponent,
-    }
-    sig = kp.privateKey.sign(
-        _tbs_text(fields).encode("utf-8"), padding.PKCS1v15(), hashes.SHA256()
-    )
-    return Certificate(
-        versionLabel=fields["versionLabel"],
-        serial=fields["serial"],
+    unsigned = Certificate(
+        versionLabel="X.509v1",
+        serial=serial if serial is not None else make_serial(),
         subjectDN=subjectDN,
         issuerDN=subjectDN,
         notBefore=not_before,
-        notAfter=not_after,
+        notAfter=not_before + timedelta(days=validityDays),
         modulus=kp.modulus,
         exponent=kp.exponent,
         signatureAlgorithm="RSA",
-        signature=sig,
+        signature=b"",
     )
+    sig = kp.privateKey.sign(
+        _tbs_text(unsigned).encode("utf-8"), padding.PKCS1v15(), hashes.SHA256()
+    )
+    return dataclasses.replace(unsigned, signature=sig)
 
 
 def verify_certificate(cert: Certificate) -> bool:
     """Check the self-signature under the embedded public key."""
-    fields = {
-        "versionLabel": cert.versionLabel,
-        "serial": cert.serial,
-        "subjectDN": cert.subjectDN,
-        "issuerDN": cert.issuerDN,
-        "notBefore": cert.notBefore,
-        "notAfter": cert.notAfter,
-        "modulus": cert.modulus,
-        "exponent": cert.exponent,
-    }
     try:
         cert.public_key().verify(
             cert.signature,
-            _tbs_text(fields).encode("utf-8"),
+            _tbs_text(cert).encode("utf-8"),
             padding.PKCS1v15(),
             hashes.SHA256(),
         )
@@ -270,20 +251,10 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 def render_certificate_text(cert: Certificate) -> str:
-    fields = {
-        "versionLabel": cert.versionLabel,
-        "serial": cert.serial,
-        "subjectDN": cert.subjectDN,
-        "issuerDN": cert.issuerDN,
-        "notBefore": cert.notBefore,
-        "notAfter": cert.notAfter,
-        "modulus": cert.modulus,
-        "exponent": cert.exponent,
-    }
     sig_number = int.from_bytes(cert.signature, "big")
     return (
         "----- Begin Certificate -----\n"
-        + _tbs_text(fields)
+        + _tbs_text(cert)
         + "\n"
         + f"Signature:\n{_wrap_digits(sig_number)}\n"
         + "----- End Certificate -----\n"

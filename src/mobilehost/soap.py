@@ -23,9 +23,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .canonical import SOAP_ENV_NS, parse_xml
 from .errors import MalformedXml, NotSoap, UnsupportedType
 
-SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 XSD_NS = "http://www.w3.org/2001/XMLSchema"
@@ -222,27 +222,9 @@ def make_header_entry(xml_text: str) -> tuple:
     return (QName.from_clark(el.tag), _fragment_canonical(el))
 
 
-def _decode(raw) -> str:
-    if isinstance(raw, str):
-        return raw
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise MalformedXml(f"payload is not UTF-8: {e}") from None
-
-
-def _parse_xml(text: str) -> ET.Element:
-    if "<!DOCTYPE" in text or "<!ENTITY" in text:
-        raise MalformedXml("DTD markup is not accepted")
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError as e:
-        raise MalformedXml(str(e)) from None
-
-
 def parse_envelope(raw) -> SoapEnvelope:
     """Parse UTF-8 XML bytes into a structured SOAP 1.1 envelope."""
-    root = _parse_xml(_decode(raw))
+    root = parse_xml(raw)
     if root.tag != f"{{{SOAP_ENV_NS}}}Envelope":
         raise NotSoap(f"root element is {root.tag}, not a SOAP 1.1 Envelope")
 

@@ -21,12 +21,11 @@ import concurrent.futures
 import socket
 import struct
 import threading
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from .errors import BindFailure, PeerGone
-from .soap import SOAP_ENV_NS
+from .canonical import SOAP_ENV_NS, parse_xml
+from .errors import BindFailure, MalformedXml, PeerGone
 
 MAX_PAYLOAD = 16 * 1024 * 1024
 DEFAULT_PORT = 5000
@@ -98,11 +97,8 @@ def _looks_like_envelope(payload: bytes) -> bool:
     if len(payload) > MAX_PAYLOAD:
         return False
     try:
-        text = payload.decode("utf-8")
-        if "<!DOCTYPE" in text or "<!ENTITY" in text:
-            return False
-        root = ET.fromstring(text)
-    except (UnicodeDecodeError, ET.ParseError):
+        root = parse_xml(payload)
+    except MalformedXml:
         return False
     return root.tag == f"{{{SOAP_ENV_NS}}}Envelope"
 
@@ -174,7 +170,8 @@ class _SocketListener:
 
     kind = ""
 
-    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher, pool_size: int):
+    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
+                 pool_size: int = DEFAULT_POOL_SIZE):
         self.cfg = cfg
         self.dispatcher = dispatcher
         try:
@@ -230,9 +227,6 @@ class _SocketListener:
 
 class HttpListener(_SocketListener):
     kind = "http"
-
-    def __init__(self, cfg, dispatcher, pool_size=DEFAULT_POOL_SIZE):
-        super().__init__(cfg, dispatcher, pool_size)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         conn.settimeout(30)
@@ -308,9 +302,6 @@ class HttpListener(_SocketListener):
 
 class RawTcpListener(_SocketListener):
     kind = "rawTcp"
-
-    def __init__(self, cfg, dispatcher, pool_size=DEFAULT_POOL_SIZE):
-        super().__init__(cfg, dispatcher, pool_size)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         conn.settimeout(30)

@@ -10,11 +10,11 @@ anything else as unsupported.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IoFailure, MalformedXml, UnsupportedWsdl
+from .canonical import parse_xml
+from .errors import IoFailure, UnsupportedWsdl
 from .service import MethodSignature, ParameterSpec, ServiceDescriptor
 from .soap import XsdType, _esc_attr
 
@@ -96,11 +96,7 @@ def parse_wsdl(xml) -> ServiceDescriptor:
     Host-local flags (securityEnabled, exclusiveExecution) are not part
     of the wire format and come back as their defaults.
     """
-    text = xml.decode("utf-8") if isinstance(xml, bytes) else xml
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as e:
-        raise MalformedXml(str(e)) from None
+    root = parse_xml(xml)
     if root.tag != _tag(WSDL_NS, "definitions"):
         raise UnsupportedWsdl(f"root element is {root.tag}, not wsdl:definitions")
     target_ns = root.get("targetNamespace") or ""

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from mobilehost.canonical import canonicalize
-from mobilehost.cli import http_post
+from mobilehost.cli import http_request
 from mobilehost.errors import HandlerError
 from mobilehost.host import verify_envelope_signature
 from mobilehost.notes import NotesHandler, notes_descriptor
@@ -65,7 +65,7 @@ def soap_request(payload: bytes, path: str = "") -> InboundRequest:
 def test_1_case_study_reproduction(tmp_path, fig13_bytes, fig14_bytes):
     with serve(tmp_path, "--demo-notes") as port:
         started = time.perf_counter()
-        status, body = http_post(
+        status, body = http_request(
             f"http://127.0.0.1:{port}/CadastroEscolar.jws", fig13_bytes
         )
         assert status == 200
@@ -220,7 +220,7 @@ def test_6_concurrency(tmp_path, fig13_bytes):
         url = f"http://127.0.0.1:{port}/CadastroEscolar.jws"
         with concurrent.futures.ThreadPoolExecutor(max_workers=50) as pool:
             futures = [
-                pool.submit(http_post, url, fig13_bytes, 10.0) for _ in range(50)
+                pool.submit(http_request, url, fig13_bytes, 10.0) for _ in range(50)
             ]
             results = [f.result(timeout=10) for f in futures]
         for status, body in results:
@@ -253,12 +253,12 @@ def test_6_concurrency(tmp_path, fig13_bytes):
         slow_url = f"http://127.0.0.1:{port}/Molasses.jws"
         with concurrent.futures.ThreadPoolExecutor(max_workers=25) as pool:
             slow_futures = [
-                pool.submit(http_post, slow_url, slow_payload, 15.0) for _ in range(5)
+                pool.submit(http_request, slow_url, slow_payload, 15.0) for _ in range(5)
             ]
             time.sleep(0.1)  # slow calls are now occupying workers
             demo_started = time.perf_counter()
             demo_futures = [
-                pool.submit(http_post, url, fig13_bytes, 10.0) for _ in range(20)
+                pool.submit(http_request, url, fig13_bytes, 10.0) for _ in range(20)
             ]
             demo_results = [f.result(timeout=10) for f in demo_futures]
             demo_elapsed = time.perf_counter() - demo_started
@@ -281,7 +281,7 @@ def test_6_concurrency(tmp_path, fig13_bytes):
 def test_7_runtime_deployment(tmp_path, fig13_bytes):
     host = make_host(tmp_path)
     host.start()
-    listener = host.loopback()
+    listener = host.listener("loopback")
     stop = threading.Event()
     dropped = []
     completed = [0]

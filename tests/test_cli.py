@@ -53,10 +53,12 @@ def serve(tmp_path, *extra_args, port=None):
     finally:
         proc.terminate()
         try:
-            proc.wait(timeout=10)
+            _, err = proc.communicate(timeout=10)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait()
+            proc.communicate()
+            pytest.fail("host did not stop within 10 s of SIGTERM and was killed")
+    assert proc.returncode == 0, f"host exited with {proc.returncode} on SIGTERM: {err!r}"
 
 
 class TestInvoke:
@@ -105,9 +107,9 @@ class TestInvoke:
 
 class TestSecureInvoke:
     def fetch_cert(self, tmp_path, port) -> Path:
-        from mobilehost.cli import http_get
+        from mobilehost.cli import http_request
 
-        status, body = http_get(f"http://127.0.0.1:{port}/CadastroEscolar.jws?cert")
+        status, body = http_request(f"http://127.0.0.1:{port}/CadastroEscolar.jws?cert")
         assert status == 200
         cert_file = tmp_path / "service.cert"
         cert_file.write_bytes(body)
@@ -238,6 +240,31 @@ class TestServe:
             ])
         assert code == 0
         assert capsys.readouterr().out.strip() == NOTES_RESULT
+
+    def test_sigterm_right_after_start_shuts_down_gracefully(self, tmp_path):
+        for run in range(5):
+            data = tmp_path / f"data{run}"
+            port = free_port()
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "mobilehost", "serve",
+                    "--bind", f"http://127.0.0.1:{port}",
+                    "--data-dir", str(data),
+                    "--demo-notes",
+                ],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            try:
+                wait_for_port(port)
+                proc.terminate()
+                code = proc.wait(timeout=5)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert code == 0, f"run {run}: exit code {code}"
+            assert (data / "checksums").is_file(), f"run {run}: no snapshot written"
 
     def test_tcp_binding_served(self, tmp_path, fig13_bytes, fig14_bytes):
         from mobilehost.canonical import canonicalize

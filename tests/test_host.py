@@ -414,7 +414,7 @@ class TestLifecycle:
         host = make_host(tmp_path, with_demo=False)
         host.create_service(simple_descriptor("Slow"), Slow())
         host.start()
-        listener = host.loopback()
+        listener = host.listener("loopback")
         payload = call_envelope(method="shout", params=(("text", "x"),),
                                 namespace="http://localhost:5000/Slow.jws")
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
@@ -506,7 +506,7 @@ class TestLogging:
 
 class TestConcurrencyAndDeployment:
     def test_concurrent_invocations_all_correct(self, demo_host, fig13_bytes):
-        listener = demo_host.loopback()
+        listener = demo_host.listener("loopback")
         with concurrent.futures.ThreadPoolExecutor(max_workers=50) as pool:
             futures = [pool.submit(listener.request, fig13_bytes) for _ in range(50)]
             bodies = [f.result(timeout=10) for f in futures]
@@ -514,7 +514,7 @@ class TestConcurrencyAndDeployment:
             assert parse_envelope(resp.body).body.result.value.startswith("#A001")
 
     def test_register_under_load_routes_next_request(self, demo_host, fig13_bytes):
-        listener = demo_host.loopback()
+        listener = demo_host.listener("loopback")
         stop = threading.Event()
         errors = []
 
@@ -564,7 +564,7 @@ class TestConcurrencyAndDeployment:
         host = make_host(tmp_path, with_demo=False)
         host.create_service(simple_descriptor("Solo", exclusive=True), Tracker())
         host.start()
-        listener = host.loopback()
+        listener = host.listener("loopback")
         payload = call_envelope(method="shout", params=(("text", "x"),),
                                 namespace="http://localhost:5000/Solo.jws")
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:

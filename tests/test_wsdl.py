@@ -97,6 +97,16 @@ class TestParse:
         with pytest.raises(MalformedXml):
             parse_wsdl(b"<unclosed")
 
+    def test_dtd_rejected(self):
+        doc = generate_wsdl(notes_descriptor(), ENDPOINT).xmlText.decode()
+        doc = doc.replace("?>\n", '?>\n<!DOCTYPE d [<!ENTITY x "Q">]>\n', 1)
+        with pytest.raises(MalformedXml):
+            parse_wsdl(doc.encode())
+
+    def test_non_utf8_rejected(self):
+        with pytest.raises(MalformedXml):
+            parse_wsdl(b"<x>\xff</x>")
+
     def test_non_wsdl_root(self):
         with pytest.raises(UnsupportedWsdl):
             parse_wsdl(b"<x/>")
