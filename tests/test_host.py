@@ -664,22 +664,15 @@ ENCRYPTED_MARKER = '<Encrypted xmlns="urn:mobilehost:headers">true</Encrypted>'
 TRICKY_NS = "http://localhost:5000/Tricky.jws"
 
 
-def signed_by(keys, cert_keys=None):
-    """A signed authed fig13-style call; cert_keys=None sends no SignerCert."""
+def signed(cert_keys="keypair", edit=lambda text: text):
+    """An authed fig13-style call signed with the shared keypair. It carries
+    the edited certificate of cert_keys, or no SignerCert when None."""
     def build(ctx):
         cert_text = None
         if cert_keys is not None:
-            cert_text = render_certificate_text(
-                issue_certificate(ctx[cert_keys], "Consumer/"))
-        return attach_signature(authed(), ctx[keys].privateKey, cert_text)
-    return build
-
-
-def with_signer_cert(edit):
-    """A correctly signed authed call whose SignerCert text is edited."""
-    def build(ctx):
-        cert_text = render_certificate_text(issue_certificate(ctx["keypair"], "Consumer/"))
-        return attach_signature(authed(), ctx["keypair"].privateKey, edit(cert_text))
+            cert_text = edit(render_certificate_text(
+                issue_certificate(ctx[cert_keys], "Consumer/")))
+        return attach_signature(authed(), ctx["keypair"].privateKey, cert_text)
     return build
 
 
@@ -713,18 +706,18 @@ FAULT_MATRIX = [
         '<Signature xmlns="urn:mobilehost:headers" algorithm="RSA-SHA256" />'),)),
      Expect("Client", "unreadable Signature header", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
-    ("bad_signature", signed_by("keypair", cert_keys="other_keypair"),
+    ("bad_signature", signed(cert_keys="other_keypair"),
      Expect("Client", "signature verification failed", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
-    ("signature_without_signer_cert", signed_by("keypair"),
+    ("signature_without_signer_cert", signed(cert_keys=None),
      Expect("Client", "signature without signer certificate", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
     ("signer_cert_bad_exponent",
-     with_signer_cert(lambda text: text.replace("public exponent:65537", "public exponent:4")),
+     signed(edit=lambda text: text.replace("public exponent:65537", "public exponent:4")),
      Expect("Client", "invalid signer certificate", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
     ("signer_cert_signature_longer_than_modulus",
-     with_signer_cert(lambda text: text.replace("Signature:\n", "Signature:\n" + "9" * 43 + "\n")),
+     signed(edit=lambda text: text.replace("Signature:\n", "Signature:\n" + "9" * 43 + "\n")),
      Expect("Client", "unreadable signer certificate", None, True, 500,
             "clientFault", "CadastroEscolar", "obterNotas")),
     ("decrypt_garbage", lambda ctx: authed(
@@ -777,6 +770,7 @@ def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
            "fig13": fig13_bytes, "fig14": fig14_bytes}
     payload = build(ctx)
     req = soap_request(payload)
+    # only the malformed row goes unlogged; every other row reaches the soap branch
     req.classification = "malformed" if expect.outcome is None else "soap"
     resp = matrix_host.handle_request(req)
 
