@@ -81,6 +81,11 @@ class ReturnTypeMismatch(MobileHostError):
         self.got = got
 
 
+class UnencodableResult(MobileHostError):
+    def __init__(self) -> None:
+        super().__init__("handler result holds characters XML 1.0 cannot carry")
+
+
 class HandlerError(MobileHostError):
     """Raised by a service handler to signal a failure during execution.
     The host wraps whatever a handler raises in one of these."""

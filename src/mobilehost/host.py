@@ -23,7 +23,10 @@ Wire conventions owned here (see docs/wire-format.md):
   the service namespace with wrappedKey / iv / ciphertext parameters,
   flagged by the Encrypted marker header;
 * signatures cover the canonical Body bytes of the serialized envelope
-  they travel in, so header insertion never invalidates them;
+  they travel in, so header insertion never invalidates them. The host
+  signs a reply's model before serializing it
+  (``soap.serialize_body_canonical``) and checks a request's signature
+  on the tree the listener parsed, so no envelope is parsed twice;
 * ``GET <endpointPath>?wsdl`` returns the stored WSDL and
   ``GET <endpointPath>?cert`` the service certificate text.
 """
@@ -40,7 +43,7 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from . import security
-from .canonical import body_canonical, parse_xml
+from .canonical import emit_canonical, parse_xml, tree_body_canonical
 from .errors import (
     AccessDenied,
     DuplicateService,
@@ -72,9 +75,9 @@ from .soap import (
     make_fault,
     make_header_entry,
     parse_envelope,
+    serialize_body_canonical,
     serialize_envelope,
     _esc_text,
-    _esc_attr,
 )
 from .transport import InboundRequest, OutboundResponse, start_listener
 from .wsdl import generate_wsdl, store_wsdl
@@ -145,19 +148,16 @@ def parse_auth_header(raw_xml: str) -> AuthHeader:
         raise MalformedXml(f"Auth header missing {e.args[0]}") from None
 
 
-def signature_header_xml(sig: SignatureBlock, signer_cert_text: Optional[str] = None) -> str:
-    cert_part = (
-        f"<SignerCert>{_esc_text(signer_cert_text)}</SignerCert>"
-        if signer_cert_text
-        else ""
-    )
-    return (
-        f'<Signature xmlns="{HEADERS_NS}"'
-        f' algorithm="{_esc_attr(sig.algorithm)}"'
-        f' digest="{_esc_attr(sig.digestAlgorithm)}">'
-        f"<Value>{_esc_text(sig.value)}</Value>{cert_part}"
-        f"</Signature>"
-    )
+def signature_header_entry(sig: SignatureBlock,
+                           signer_cert_text: Optional[str] = None) -> tuple:
+    """The Signature header entry in the (QName, canonical text) form
+    make_header_entry gives, written directly."""
+    children = [(f"{{{HEADERS_NS}}}Value", (), sig.value, ())]
+    if signer_cert_text:
+        children.append((f"{{{HEADERS_NS}}}SignerCert", (), signer_cert_text, ()))
+    attrs = (("algorithm", sig.algorithm), ("digest", sig.digestAlgorithm))
+    return (SIGNATURE_HEADER,
+            emit_canonical((SIGNATURE_HEADER.clark, attrs, "", tuple(children))))
 
 
 def parse_signature_header(raw_xml: str):
@@ -193,28 +193,33 @@ def attach_signature(
     signer_cert_text: Optional[str] = None,
 ) -> bytes:
     """Re-serialize an envelope with a Signature header covering its
-    canonical Body bytes."""
-    env = parse_envelope(envelope_xml)
-    bare = serialize_envelope(env)
-    sig = security.sign_message(body_canonical(bare), private_key)
-    entry = make_header_entry(signature_header_xml(sig, signer_cert_text))
-    signed = SoapEnvelope(
+    canonical Body bytes: parse it, then sign the model."""
+    return serialize_envelope(
+        _signed(parse_envelope(envelope_xml), private_key, signer_cert_text)
+    )
+
+
+def _signed(env: SoapEnvelope, private_key,
+            signer_cert_text: Optional[str] = None) -> SoapEnvelope:
+    """env plus a Signature header entry over its canonical Body bytes."""
+    sig = security.sign_message(serialize_body_canonical(env), private_key)
+    return SoapEnvelope(
         body=env.body,
-        headerEntries=env.headerEntries + (entry,),
+        headerEntries=env.headerEntries + (signature_header_entry(sig, signer_cert_text),),
         encodingStyle=env.encodingStyle,
     )
-    return serialize_envelope(signed)
 
 
 def verify_envelope_signature(envelope_xml: bytes, cert: security.Certificate):
     """True/False per the embedded signature; None if there is none."""
     try:
-        raw = parse_envelope(envelope_xml).header(SIGNATURE_HEADER)
+        root = parse_xml(envelope_xml)
+        raw = parse_envelope(root).header(SIGNATURE_HEADER)
         if raw is None:
             return None
         block, _ = parse_signature_header(raw)
         return security.verify_signature(
-            body_canonical(envelope_xml), block, cert.public_key()
+            tree_body_canonical(root), block, cert.public_key()
         )
     except MobileHostError:
         return False
@@ -359,6 +364,8 @@ class Host:
     def remove_service(self, name: str) -> None:
         self.registry.remove_service(name)
         self._handlers.pop(name, None)
+        self._keys.pop(name, None)
+        self._service_locks.pop(name, None)
 
     def service_certificate(self, name: str) -> security.Certificate:
         if name not in self._keys:
@@ -421,15 +428,17 @@ class Host:
         signing_key = None  # set once the caller is authorized for a secured service
         outcome = "serverFault"
         try:
-            env, call = _parse_call(req.payload, "request body must be a method call")
+            root = _received_root(req)
+            env, call = _parse_call(root, "request body must be a method call")
             method_name = call.operation.localName
             auth = self._authenticate(env)
             desc = self._route(req.path, call)
             service_name = desc.serviceName
             self._authorize(auth, service_name)
-            if desc.securityEnabled and service_name in self._keys:
-                signing_key = self._keys[service_name][0].privateKey
-                _verify_inbound_signature(req.payload, env)
+            keys = self._keys.get(service_name) if desc.securityEnabled else None
+            if keys is not None:
+                signing_key = keys[0].privateKey
+                _verify_inbound_signature(root, env)
                 if env.header(ENCRYPTED_HEADER) is not None:
                     call = _decrypt_carrier(call, signing_key)
                     method_name = call.operation.localName
@@ -492,15 +501,25 @@ class Host:
             raise HandlerError("handler failure", detail=str(e)) from e
 
 
-def _parse_call(payload: bytes, not_a_call: str) -> tuple:
+def _received_root(req: InboundRequest):
+    """The root element classify_request parsed from the payload. The
+    payload itself is never parsed again."""
+    if isinstance(req.parsed, MalformedXml):
+        raise MalformedXml(str(req.parsed))
+    if req.parsed is None:
+        raise MalformedXml("request payload was not parsed")
+    return req.parsed
+
+
+def _parse_call(raw, not_a_call: str) -> tuple:
     """The envelope and the method call it carries."""
-    env = parse_envelope(payload)
+    env = parse_envelope(raw)
     if not isinstance(env.body, SoapCall):
         raise MalformedXml(not_a_call)
     return env, env.body
 
 
-def _verify_inbound_signature(payload: bytes, env: SoapEnvelope) -> None:
+def _verify_inbound_signature(root, env: SoapEnvelope) -> None:
     """Check the Signature header a sender attached, if there is one."""
     raw = env.header(SIGNATURE_HEADER)
     if raw is None:
@@ -518,7 +537,7 @@ def _verify_inbound_signature(payload: bytes, env: SoapEnvelope) -> None:
     if not security.verify_certificate(cert):
         raise MalformedSignature("invalid signer certificate")
     try:
-        ok = security.verify_signature(body_canonical(payload), block, cert.public_key())
+        ok = security.verify_signature(tree_body_canonical(root), block, cert.public_key())
     except MalformedSignature:
         ok = False
     if not ok:
@@ -553,10 +572,9 @@ def _respond(desc: ServiceDescriptor, sig: MethodSignature, raw_result: TypedVal
 
 
 def _xml_response(status: int, env: SoapEnvelope, signing_key=None) -> OutboundResponse:
-    xml = serialize_envelope(env)
     if signing_key is not None:
-        xml = attach_signature(xml, signing_key)
-    return OutboundResponse(status, XML_CONTENT_TYPE, xml)
+        env = _signed(env, signing_key)
+    return OutboundResponse(status, XML_CONTENT_TYPE, serialize_envelope(env))
 
 
 def _plain(status: int, text: str) -> OutboundResponse:

@@ -17,8 +17,10 @@ from .errors import (
     NameMismatch,
     ReturnTypeMismatch,
     TypeMismatch,
+    UnencodableResult,
     UnknownMethod,
 )
+from .canonical import xml_chars_ok
 from .soap import SoapCall, TypedValue, XsdType, _is_token
 
 
@@ -101,9 +103,14 @@ def validate_call(desc: ServiceDescriptor, call: SoapCall) -> MethodSignature:
 
 
 def coerce_result(sig: MethodSignature, raw: TypedValue) -> TypedValue:
-    """Enforce the declared return type; no silent coercion."""
+    """Enforce the declared return type, no silent coercion, and a
+    lexical form XML 1.0 can carry."""
+    if not isinstance(raw, TypedValue):
+        raise ReturnTypeMismatch(sig.returnType.value, type(raw).__name__)
     if raw.xsdType is not sig.returnType:
         raise ReturnTypeMismatch(sig.returnType.value, raw.xsdType.value)
+    if not xml_chars_ok(raw.lexical):
+        raise UnencodableResult()
     return raw
 
 

@@ -23,7 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .canonical import SOAP_ENV_NS, parse_xml
+from .canonical import SOAP_ENV_NS, emit_canonical, parse_xml, xml_safe_text
 from .errors import MalformedXml, NotSoap, UnsupportedType
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
@@ -223,8 +223,9 @@ def make_header_entry(xml_text: str) -> tuple:
 
 
 def parse_envelope(raw) -> SoapEnvelope:
-    """Parse UTF-8 XML bytes into a structured SOAP 1.1 envelope."""
-    root = parse_xml(raw)
+    """Parse UTF-8 XML bytes, or the root element parse_xml already made
+    of them, into a structured SOAP 1.1 envelope."""
+    root = raw if isinstance(raw, ET.Element) else parse_xml(raw)
     if root.tag != f"{{{SOAP_ENV_NS}}}Envelope":
         raise NotSoap(f"root element is {root.tag}, not a SOAP 1.1 Envelope")
 
@@ -432,6 +433,50 @@ def _serialize_response(env: SoapEnvelope) -> bytes:
     return xml.encode("utf-8")
 
 
+def serialize_body_canonical(env: SoapEnvelope) -> bytes:
+    """The canonical Body bytes of env, equal to
+    ``canonical.body_canonical(serialize_envelope(env))`` but written from
+    the model: nothing is serialized, parsed or canonicalized. Raises
+    MalformedXml where serialize_envelope's output would not be
+    well-formed XML."""
+    body = env.body
+    if isinstance(body, SoapCall):
+        attrs = () if body.id is None else (("id", body.id),)
+        if body.rootAttr is not None:
+            attrs += ((f"{{{SOAP_ENC_NS}}}root", body.rootAttr),)
+        # parameters are unqualified (xmlns="") leaves
+        entry = (body.operation.clark, attrs, "",
+                 tuple(_typed_node(name, tv) for name, tv in body.params))
+    elif isinstance(body, SoapFault):
+        fields = [("faultcode", body.faultcode), ("faultstring", body.faultstring)]
+        if body.detail is not None:
+            fields.append(("detail", body.detail))
+        entry = (f"{{{SOAP_ENV_NS}}}Fault", (), "",
+                 tuple((name, (), text, ()) for name, text in fields))
+    else:
+        # the result element inherits the operation's default namespace
+        ns = body.operation.namespaceUri
+        result_tag = f"{{{ns}}}{body.resultName}" if ns else body.resultName
+        entry = (body.operation.clark, (), "", (_typed_node(result_tag, body.result),))
+    body_attrs = (
+        ((f"{{{SOAP_ENV_NS}}}encodingStyle", env.encodingStyle),)
+        if env.encodingStyle
+        else ()
+    )
+    node = (f"{{{SOAP_ENV_NS}}}Body", body_attrs, "", (entry,))
+    return emit_canonical(node).encode("utf-8")
+
+
+def _typed_node(tag: str, tv: TypedValue) -> tuple:
+    return (tag, ((f"{{{XSI_NS}}}type", tv.xsdType.xsd_name),), tv.lexical, ())
+
+
 def make_fault(code: str, message: str, detail: Optional[str] = None) -> SoapEnvelope:
-    """Wrap an error in a fault envelope using one of the four 1.1 codes."""
-    return SoapEnvelope(body=SoapFault(faultcode=code, faultstring=message, detail=detail))
+    """Wrap an error in a fault envelope using one of the four 1.1 codes.
+    Characters XML 1.0 cannot carry become U+FFFD, so every fault
+    serializes to well-formed XML."""
+    return SoapEnvelope(body=SoapFault(
+        faultcode=code,
+        faultstring=xml_safe_text(message),
+        detail=None if detail is None else xml_safe_text(detail),
+    ))

@@ -80,6 +80,9 @@ class InboundRequest:
     classification: str  # soap | web | malformed
     query: str = ""
     method: str = ""
+    # what classify_request's parse of the payload gave: the root element,
+    # the MalformedXml it raised, or None if it did not parse the payload
+    parsed: object = field(default=None, repr=False, compare=False)
     _channel: object = field(default=None, repr=False, compare=False)
 
 
@@ -93,49 +96,49 @@ class OutboundResponse:
 Dispatcher = Callable[[InboundRequest], OutboundResponse]
 
 
-def _looks_like_envelope(payload: bytes) -> bool:
-    if len(payload) > MAX_PAYLOAD:
-        return False
-    try:
-        root = parse_xml(payload)
-    except MalformedXml:
-        return False
-    return root.tag == f"{{{SOAP_ENV_NS}}}Envelope"
-
-
 def classify_request(
     payload: bytes,
     headers: Optional[Mapping] = None,
     method: Optional[str] = None,
-) -> str:
-    """soap | web | malformed, per transport semantics.
+) -> tuple:
+    """(soap | web | malformed, parsed), per transport semantics.
 
     With headers (HTTP): GET is web; a POST that declares XML (content
     type or SOAPAction) must carry an envelope, otherwise it is
     malformed; any other POST is web. Without headers the payload must
     be an envelope outright.
+
+    ``parsed`` is what parsing the payload gave: its root element, the
+    MalformedXml parse_xml raised, or None if the payload was not parsed.
+    A soap request carries its envelope root here, and the pipeline
+    works on that tree instead of parsing the payload again.
     """
     if len(payload) > MAX_PAYLOAD:
-        return "malformed"
-    if headers is None:
-        return "soap" if _looks_like_envelope(payload) else "malformed"
-    method = (method or "").upper()
-    if method == "GET":
-        return "web"
-    if method != "POST":
-        return "malformed"
-    content_type = ""
-    soap_action = False
-    for k, v in headers.items():
-        lk = k.lower()
-        if lk == "content-type":
-            content_type = v.lower()
-        elif lk == "soapaction":
-            soap_action = True
-    declares_xml = "xml" in content_type or soap_action
-    if declares_xml:
-        return "soap" if _looks_like_envelope(payload) else "malformed"
-    return "soap" if _looks_like_envelope(payload) else "web"
+        return "malformed", None
+    otherwise = "malformed"
+    if headers is not None:
+        method = (method or "").upper()
+        if method == "GET":
+            return "web", None
+        if method != "POST":
+            return "malformed", None
+        content_type = ""
+        soap_action = False
+        for k, v in headers.items():
+            lk = k.lower()
+            if lk == "content-type":
+                content_type = v.lower()
+            elif lk == "soapaction":
+                soap_action = True
+        if not ("xml" in content_type or soap_action):
+            otherwise = "web"
+    try:
+        parsed = parse_xml(payload)
+    except MalformedXml as e:
+        return otherwise, e
+    if parsed.tag == f"{{{SOAP_ENV_NS}}}Envelope":
+        return "soap", parsed
+    return otherwise, parsed
 
 
 # --- framing (rawTcp) -------------------------------------------------------
@@ -288,15 +291,17 @@ class HttpListener(_SocketListener):
         elif method != "GET":
             return (405, "only GET and POST are supported")
         path, _, query = target.partition("?")
+        classification, parsed = classify_request(payload, headers, method)
         return InboundRequest(
             transportKind="http",
             peer=peer,
             path=path,
             headers=headers,
             payload=payload,
-            classification=classify_request(payload, headers, method),
+            classification=classification,
             query=query,
             method=method,
+            parsed=parsed,
         )
 
 
@@ -315,13 +320,15 @@ class RawTcpListener(_SocketListener):
                     return
                 except PeerGone:
                     return
+                classification, parsed = classify_request(payload)
                 req = InboundRequest(
                     transportKind="rawTcp",
                     peer=peer,
                     path="",
                     headers=None,
                     payload=payload,
-                    classification=classify_request(payload),
+                    classification=classification,
+                    parsed=parsed,
                     _channel=conn,
                 )
                 try:
@@ -354,13 +361,15 @@ class LoopbackListener:
                 timeout: Optional[float] = None) -> OutboundResponse:
         if self._stopping.is_set():
             raise PeerGone("listener stopped")
+        classification, parsed = classify_request(payload)
         req = InboundRequest(
             transportKind="loopback",
             peer=peer,
             path=path,
             headers=None,
             payload=payload,
-            classification=classify_request(payload),
+            classification=classification,
+            parsed=parsed,
         )
         future = self._pool.submit(self.dispatcher, req)
         return future.result(timeout=timeout)

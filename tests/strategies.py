@@ -43,12 +43,49 @@ namespaces = st.one_of(
     tokens.map(lambda t: f"http://example.org/{t}.jws"),
 )
 
+# Wider inputs for the canonical Body emitter. A parser turns \r and \r\n
+# into \n, and C14N with strip_text drops what str.strip() drops at the
+# ends of text, which includes U+0085 and U+00A0.
+EDGE_WHITESPACE = " \t\n\r\x85\xa0\u2028\u3000"
+c14n_text = st.one_of(
+    xml_text,
+    st.text(alphabet=st.one_of(
+        st.sampled_from(EDGE_WHITESPACE + "\r\n<>&\"'"),
+        st.characters(blacklist_categories=("Cs",), min_codepoint=0x20,
+                      max_codepoint=0xFFFD),
+    ), max_size=40),
+    st.tuples(st.sampled_from(EDGE_WHITESPACE), xml_text,
+              st.sampled_from(EDGE_WHITESPACE)).map("".join),
+)
+
+# namespaces that ElementTree serializes with ns0 (the envelope's own) or
+# with its registered prefixes (xsi, xs, wsdl) instead of ns1
+SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
+c14n_namespaces = st.one_of(
+    namespaces,
+    st.sampled_from([
+        SOAP_ENV_NS,
+        SOAP_ENCODING,
+        "http://www.w3.org/2001/XMLSchema-instance",
+        "http://www.w3.org/2001/XMLSchema",
+        "http://schemas.xmlsoap.org/wsdl/",
+        "urn:a&b<c>\"d\"\te\nf\rg",
+    ]),
+)
+
+# characters outside the XML 1.0 Char production
+NOT_XML_CHARS = (
+    "".join(chr(c) for c in range(0x20) if chr(c) not in "\t\n\r")
+    + "\ud800\udfff\ufffe\uffff"
+)
+not_xml_text = st.tuples(xml_text, st.sampled_from(NOT_XML_CHARS), xml_text).map("".join)
+
 
 @st.composite
-def typed_values(draw) -> TypedValue:
+def typed_values(draw, text=xml_text) -> TypedValue:
     xsd_type = draw(st.sampled_from(list(XsdType)))
     if xsd_type is XsdType.STRING:
-        value = draw(xml_text)
+        value = draw(text)
     elif xsd_type is XsdType.INT:
         value = draw(st.integers(-(2**31), 2**31 - 1))
     elif xsd_type is XsdType.DOUBLE:
@@ -75,38 +112,39 @@ def _esc(s: str) -> str:
 
 
 @st.composite
-def soap_calls(draw) -> SoapCall:
+def soap_calls(draw, text=xml_text, ns=namespaces) -> SoapCall:
     names = draw(st.lists(tokens, max_size=4, unique=True))
     return SoapCall(
-        operation=QName(draw(op_tokens), draw(namespaces)),
-        params=tuple((n, draw(typed_values())) for n in names),
-        id=draw(st.one_of(st.none(), tokens)),
+        operation=QName(draw(op_tokens), draw(ns)),
+        params=tuple((n, draw(typed_values(text))) for n in names),
+        id=draw(st.one_of(st.none(), tokens, text)),
         rootAttr=draw(st.one_of(st.none(), st.just("1"))),
     )
 
 
 @st.composite
-def soap_responses(draw) -> SoapResponseBody:
+def soap_responses(draw, text=xml_text, ns=namespaces) -> SoapResponseBody:
     base = draw(tokens)
     return SoapResponseBody(
-        operation=QName(base + "Response", draw(namespaces)),
+        operation=QName(base + "Response", draw(ns)),
         resultName=base + "Result",
-        result=draw(typed_values()),
+        result=draw(typed_values(text)),
     )
 
 
 @st.composite
-def soap_faults(draw) -> SoapFault:
+def soap_faults(draw, text=xml_text) -> SoapFault:
     return SoapFault(
         faultcode=draw(st.sampled_from(FAULT_CODES)),
-        faultstring=draw(xml_text),
-        detail=draw(st.one_of(st.none(), xml_text)),
+        faultstring=draw(text),
+        detail=draw(st.one_of(st.none(), text)),
     )
 
 
 @st.composite
-def envelopes(draw) -> SoapEnvelope:
-    body = draw(st.one_of(soap_calls(), soap_responses(), soap_faults()))
+def envelopes(draw, text=xml_text, ns=namespaces) -> SoapEnvelope:
+    """Calls, responses and faults; text and ns draw their strings."""
+    body = draw(st.one_of(soap_calls(text, ns), soap_responses(text, ns), soap_faults(text)))
     encoding = None
     if isinstance(body, SoapCall) and draw(st.booleans()):
         encoding = SOAP_ENCODING

@@ -52,13 +52,15 @@ def ok(n: int, label: str) -> None:
 
 
 def soap_request(payload: bytes, path: str = "") -> InboundRequest:
+    classification, parsed = classify_request(payload)
     return InboundRequest(
         transportKind="loopback",
         peer="acceptance",
         path=path,
         headers=None,
         payload=payload,
-        classification=classify_request(payload),
+        classification=classification,
+        parsed=parsed,
     )
 
 

@@ -1,15 +1,33 @@
 """Canonical form determinism and the signed-body extraction."""
 
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobilehost.canonical import body_canonical, canonicalize
+from mobilehost.canonical import XML_NS, XMLNS_NS, body_canonical, canonicalize
 from mobilehost.errors import MalformedXml
-from mobilehost.soap import serialize_envelope
+from mobilehost.soap import (
+    QName,
+    SoapCall,
+    SoapEnvelope,
+    SoapFault,
+    SoapResponseBody,
+    TypedValue,
+    XsdType,
+    serialize_body_canonical,
+    serialize_envelope,
+)
 
-from strategies import envelopes, rand_envelope
+from strategies import (
+    c14n_namespaces,
+    c14n_text,
+    envelopes,
+    not_xml_text,
+    rand_envelope,
+)
 
 
 def reflow(xml: bytes) -> bytes:
@@ -73,3 +91,68 @@ class TestBodyCanonical:
             body_canonical(
                 b'<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"/>'
             )
+
+
+def reference_body_canonical(env: SoapEnvelope) -> bytes:
+    """What a verifier computes from the wire: serialize, parse, C14N."""
+    return body_canonical(serialize_envelope(env))
+
+
+class TestSerializeBodyCanonical:
+    """The emitter the host signs through against the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(envelopes(text=c14n_text, ns=c14n_namespaces))
+    def test_equals_reference(self, env):
+        assert serialize_body_canonical(env) == reference_body_canonical(env)
+
+    def test_equals_reference_on_seeded_envelopes(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            env = rand_envelope(rng)
+            assert serialize_body_canonical(env) == reference_body_canonical(env)
+
+    def test_golden_files(self, fig13_bytes, fig14_bytes):
+        from mobilehost.soap import parse_envelope
+
+        for doc in (fig13_bytes, fig14_bytes):
+            assert serialize_body_canonical(parse_envelope(doc)) == body_canonical(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_text_xml_cannot_carry_is_refused_by_both(self, data):
+        bad = data.draw(not_xml_text)
+        ns = data.draw(c14n_namespaces)
+        body = data.draw(st.sampled_from([
+            SoapCall(QName("op", ns), (("p", TypedValue(XsdType.STRING, bad, bad)),)),
+            SoapCall(QName("op", ns), (), id=bad),
+            SoapResponseBody(QName("opResponse", ns), "opResult",
+                             TypedValue(XsdType.STRING, bad, bad)),
+            SoapFault("Server", bad),
+            SoapFault("Client", "ok", detail=bad),
+        ]))
+        env = SoapEnvelope(body=body)
+        with pytest.raises((MalformedXml, UnicodeEncodeError)):
+            reference_body_canonical(env)
+        with pytest.raises(MalformedXml):
+            serialize_body_canonical(env)
+
+    @pytest.mark.parametrize("ns", [XML_NS, XMLNS_NS, "urn:bad\x01"])
+    def test_namespace_xml_cannot_carry_is_refused_by_both(self, ns):
+        env = SoapEnvelope(body=SoapResponseBody(
+            QName("opResponse", ns), "opResult", TypedValue.of(XsdType.INT, 1)))
+        with pytest.raises(MalformedXml):
+            reference_body_canonical(env)
+        with pytest.raises(MalformedXml):
+            serialize_body_canonical(env)
+
+    def test_follows_elementtree_prefix_registry(self, monkeypatch):
+        # ET.tostring uses a registered prefix for a namespace, so the
+        # covered bytes change when an embedder registers one
+        env = SoapEnvelope(body=SoapResponseBody(
+            QName("opResponse", "urn:svc"), "opResult", TypedValue.of(XsdType.INT, 1)))
+        before = serialize_body_canonical(env)
+        monkeypatch.setitem(ET._namespace_map, "urn:svc", "svc")
+        after = serialize_body_canonical(env)
+        assert b"<svc:opResponse" in after and after != before
+        assert after == reference_body_canonical(env)

@@ -6,10 +6,14 @@ import concurrent.futures
 import dataclasses
 import random
 import shutil
+import socket
 import threading
 import time
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobilehost.canonical import body_canonical, canonicalize
 from mobilehost.errors import (
@@ -28,11 +32,19 @@ from mobilehost.host import (
     auth_header_xml,
     encrypt_request,
     parse_signature_header,
+    signature_header_entry,
     verify_envelope_signature,
 )
+from mobilehost.cli import http_request
 from mobilehost.notes import NotesHandler, notes_descriptor
 from mobilehost.registry import make_user, password_proof
-from mobilehost.security import generate_keypair, issue_certificate, render_certificate_text, verify_signature
+from mobilehost.security import (
+    SignatureBlock,
+    generate_keypair,
+    issue_certificate,
+    render_certificate_text,
+    verify_signature,
+)
 from mobilehost.service import MethodSignature, ParameterSpec, ServiceDescriptor
 from mobilehost.soap import (
     QName,
@@ -45,20 +57,28 @@ from mobilehost.soap import (
     parse_envelope,
     serialize_envelope,
 )
-from mobilehost.transport import BindingConfig, InboundRequest, classify_request
+from mobilehost.transport import (
+    BindingConfig,
+    InboundRequest,
+    classify_request,
+    encode_frame,
+    read_frame,
+)
 
-from conftest import make_host
-from strategies import auth_entry
+from conftest import free_port, make_host
+from strategies import auth_entry, c14n_text
 
 
 def soap_request(payload: bytes, path: str = "", kind: str = "loopback") -> InboundRequest:
+    classification, parsed = classify_request(payload)
     return InboundRequest(
         transportKind=kind,
         peer="test",
         path=path,
         headers=None,
         payload=payload,
-        classification=classify_request(payload),
+        classification=classification,
+        parsed=parsed,
     )
 
 
@@ -457,6 +477,14 @@ class TestWebBranch:
     def test_cert_endpoint_without_security_404(self, demo_host):
         assert self.get(demo_host, "/CadastroEscolar.jws", "cert").status == 404
 
+    def test_removed_service_leaves_no_key_or_lock(self, tmp_path):
+        host = make_host(tmp_path, with_demo=False)
+        host.create_service(simple_descriptor(secure=True, exclusive=True), UpperHandler())
+        host.remove_service("Echoish")
+        host.create_service(simple_descriptor(), UpperHandler())
+        assert self.get(host, "/Echoish.jws", "cert").status == 404
+        assert "Echoish" not in host._service_locks
+
     def test_unknown_path_404(self, demo_host):
         assert self.get(demo_host, "/index.html").status == 404
 
@@ -793,3 +821,148 @@ def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
     else:
         assert [(e.outcome, e.serviceName, e.methodName) for e in log] == [
             (expect.outcome, expect.service, expect.method)]
+
+
+# --- handler output XML cannot carry ------------------------------------------
+#
+# One row per handler outcome, each against a secured and an unsecured
+# service. A result with a character outside XML 1.0 is a Server fault,
+# such a character in a fault text becomes U+FFFD, and a result that is
+# not a TypedValue is a ReturnTypeMismatch; every answer is well-formed
+# and signed iff the service is secured.
+
+
+class OddHandler:
+    def executeMethod(self, methodName, args):
+        if methodName == "badResult":
+            return TypedValue.of(XsdType.STRING, "x\x01y")
+        if methodName == "badRaise":
+            raise ValueError("bad \x01")
+        return "plain str"
+
+
+def odd_descriptor(secure: bool) -> ServiceDescriptor:
+    name = "OddSecure" if secure else "OddPlain"
+    return ServiceDescriptor(
+        serviceName=name,
+        namespaceUri=f"http://localhost:5000/{name}.jws",
+        endpointPath=f"/{name}.jws",
+        responseNamespaceUri=f"http://localhost:5000/{name}.jws",
+        methods=tuple(MethodSignature(m, (), XsdType.STRING)
+                      for m in ("badResult", "badRaise", "plainStr")),
+        securityEnabled=secure,
+    )
+
+
+HANDLER_OUTPUT_MATRIX = [
+    ("badResult", "Server", "handler result holds characters XML 1.0 cannot carry", None),
+    ("badRaise", "Server", "handler failure", "bad \ufffd"),
+    ("plainStr", "Server", "handler returned str, signature declares string", None),
+]
+
+
+@pytest.mark.parametrize("secure", [False, True], ids=["unsecured", "secured"])
+@pytest.mark.parametrize("method, code, string, detail", HANDLER_OUTPUT_MATRIX,
+                         ids=[row[0] for row in HANDLER_OUTPUT_MATRIX])
+def test_handler_output_matrix(tmp_path, secure, method, code, string, detail):
+    host = make_host(tmp_path, with_demo=False)
+    desc = odd_descriptor(secure)
+    host.create_service(desc, OddHandler())
+    resp = host.handle_request(soap_request(
+        call_envelope(method=method, params=(), namespace=desc.namespaceUri)))
+
+    assert resp.status == 500
+    env = parse_envelope(resp.body)  # well-formed
+    assert (env.body.faultcode, env.body.faultstring, env.body.detail) == (code, string, detail)
+    assert (env.header(SIGNATURE_HEADER) is not None) == secure
+    if secure:
+        cert = host.service_certificate(desc.serviceName)
+        assert verify_envelope_signature(resp.body, cert) is True
+    assert [(e.outcome, e.serviceName, e.methodName) for e in host.registry.log_entries()] == [
+        ("serverFault", desc.serviceName, method)]
+
+
+# --- one parse per request --------------------------------------------------------
+
+
+@pytest.fixture
+def xml_calls(monkeypatch):
+    """Count ET.fromstring and ET.canonicalize calls from any thread."""
+    counts = collections.Counter()
+    lock = threading.Lock()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fromstring", "canonicalize"):
+        monkeypatch.setattr(ET, name, counting(name, getattr(ET, name)))
+    return counts
+
+
+class TestOneParsePerRequest:
+    def test_plain_call_is_parsed_once_on_every_transport(self, tmp_path, fig13_bytes,
+                                                          fig14_bytes, xml_calls):
+        http, tcp = free_port(), free_port()
+        host = make_host(tmp_path, BindingConfig(kind="loopback"),
+                         BindingConfig(kind="http", port=http),
+                         BindingConfig(kind="rawTcp", port=tcp))
+        host.start()
+        try:
+            sends = {
+                "loopback": lambda: host.listener("loopback").request(fig13_bytes).body,
+                "http": lambda: http_request(
+                    f"http://127.0.0.1:{http}/CadastroEscolar.jws", fig13_bytes)[1],
+                "rawTcp": lambda: tcp_exchange(tcp, fig13_bytes),
+            }
+            for kind, send in sends.items():
+                xml_calls.clear()
+                body = send()
+                assert dict(xml_calls) == {"fromstring": 1}, kind
+                assert canonicalize(body) == canonicalize(fig14_bytes), kind
+        finally:
+            host.shutdown()
+
+    def test_secured_call_parses_nothing_after_the_handler(self, tmp_path, fig13_bytes,
+                                                            xml_calls):
+        host = make_host(tmp_path, secure_demo=True)
+        seen = []
+
+        class Recording(NotesHandler):
+            def executeMethod(self, methodName, args):
+                result = super().executeMethod(methodName, args)
+                seen.append(dict(xml_calls))
+                return result
+
+        host.attach_handler("CadastroEscolar", Recording())
+        resp = host.handle_request(soap_request(fig13_bytes))
+        assert seen and dict(xml_calls) == seen[0]
+        cert = host.service_certificate("CadastroEscolar")
+        assert verify_envelope_signature(resp.body, cert) is True
+
+
+def tcp_exchange(port: int, payload: bytes) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(encode_frame(payload))
+        with conn.makefile("rb") as rfile:
+            return read_frame(rfile)
+
+
+# --- the Signature header entry ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=c14n_text, cert_text=st.one_of(st.none(), c14n_text),
+       algorithm=c14n_text)
+def test_signature_header_entry_equals_parsed_form(value, cert_text, algorithm):
+    esc = lambda s: s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    esc_attr = lambda s: esc(s).replace('"', "&quot;").replace("\n", "&#10;").replace(
+        "\t", "&#9;").replace("\r", "&#13;")
+    cert_part = f"<SignerCert>{esc(cert_text)}</SignerCert>" if cert_text else ""
+    wire = (f'<Signature xmlns="urn:mobilehost:headers" algorithm="{esc_attr(algorithm)}"'
+            f' digest="SHA-256"><Value>{esc(value)}</Value>{cert_part}</Signature>')
+    block = SignatureBlock(algorithm=algorithm, digestAlgorithm="SHA-256", value=value)
+    assert signature_header_entry(block, cert_text) == make_header_entry(wire)

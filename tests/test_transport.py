@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobilehost.errors import BindFailure, PeerGone
+from mobilehost.errors import BindFailure, MalformedXml, PeerGone
 from mobilehost.transport import (
     BindingConfig,
     HttpListener,
@@ -80,30 +80,36 @@ class TestBindingConfig:
 class TestClassify:
     def test_xml_post_with_envelope_is_soap(self, fig13_bytes):
         headers = {"Content-Type": "text/xml; charset=utf-8"}
-        assert classify_request(fig13_bytes, headers, "POST") == "soap"
+        kind, root = classify_request(fig13_bytes, headers, "POST")
+        assert kind == "soap"
+        assert root.tag == "{http://schemas.xmlsoap.org/soap/envelope/}Envelope"
 
     def test_get_is_web(self):
-        assert classify_request(b"", {}, "GET") == "web"
+        assert classify_request(b"", {}, "GET") == ("web", None)
 
     def test_non_envelope_plain_post_is_web(self):
         headers = {"Content-Type": "application/x-www-form-urlencoded"}
-        assert classify_request(b"a=1", headers, "POST") == "web"
+        assert classify_request(b"a=1", headers, "POST")[0] == "web"
 
     def test_xml_post_without_envelope_is_malformed(self):
         headers = {"Content-Type": "text/xml"}
-        assert classify_request(b"<x/>", headers, "POST") == "malformed"
+        assert classify_request(b"<x/>", headers, "POST")[0] == "malformed"
 
     def test_soapaction_counts_as_xml_declaration(self, fig13_bytes):
-        assert classify_request(fig13_bytes, {"SOAPAction": '""'}, "POST") == "soap"
+        assert classify_request(fig13_bytes, {"SOAPAction": '""'}, "POST")[0] == "soap"
 
     def test_raw_envelope_is_soap(self):
-        assert classify_request(SOAP_BYTES) == "soap"
+        kind, root = classify_request(SOAP_BYTES)
+        assert kind == "soap"
+        assert root.tag == "{http://schemas.xmlsoap.org/soap/envelope/}Envelope"
 
     def test_raw_garbage_is_malformed(self):
-        assert classify_request(b"hello") == "malformed"
+        kind, error = classify_request(b"hello")
+        assert kind == "malformed"
+        assert isinstance(error, MalformedXml)
 
     def test_oversize_is_malformed(self):
-        assert classify_request(b"x" * (16 * 1024 * 1024 + 1)) == "malformed"
+        assert classify_request(b"x" * (16 * 1024 * 1024 + 1)) == ("malformed", None)
 
 
 class TestFraming:
