@@ -105,9 +105,13 @@ def emit_canonical(node) -> str:
     prefix for a namespace (``xsi``, ``xs``, ``wsdl``, ...), else ``ns``
     plus the number of namespaces met so far, in document order. C14N
     keeps them and declares each on the outermost element that uses it.
-    Text and attribute values are checked, normalized and escaped as a
-    parse and C14N would. Raises MalformedXml where ET.tostring's output
-    would not be well-formed XML.
+    Text and attribute values are checked, normalized as a parse would,
+    and escaped with ElementTree's own C14N escapes. Raises MalformedXml
+    where ET.tostring's output would not be well-formed XML.
+
+    The prefix registry and the escapes are private names of
+    ElementTree, read because its serializer defines the signed bytes; a
+    property test holds this function equal to body_canonical.
     """
     out: list = []
     _emit(node, {}, frozenset(), out)
@@ -131,7 +135,7 @@ def _emit(node, prefixes: dict, in_scope: frozenset, out: list) -> None:
             declare.add(("xmlns:" + prefix, uri))
     attr_list = sorted(declare) + [(names[k], _checked(v)) for k, v in sorted(attrs)]
     out.append("<" + names[tag])
-    out.extend(f' {k}="{_escape_attr(v)}"' for k, v in attr_list)
+    out.extend(f' {k}="{ET._escape_attrib_c14n(v)}"' for k, v in attr_list)
     out.append(">")
     if children:
         in_scope = in_scope.union(uri for _, uri in declare)
@@ -160,19 +164,4 @@ def _escape_text(text: str) -> str:
     # a parser turns CR LF and lone CR into LF; C14N then strips the ends
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    text = text.strip()
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
-    return text
-
-
-def _escape_attr(value: str) -> str:
-    for raw, ref in (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"),
-                     ("\t", "&#x9;"), ("\n", "&#xA;"), ("\r", "&#xD;")):
-        if raw in value:
-            value = value.replace(raw, ref)
-    return value
+    return ET._escape_cdata_c14n(text.strip())

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobilehost.canonical import XML_NS, XMLNS_NS, body_canonical, canonicalize
+from mobilehost.canonical import (
+    XML_NS,
+    XMLNS_NS,
+    body_canonical,
+    canonicalize,
+    xml_chars_ok,
+    xml_safe_text,
+)
 from mobilehost.errors import MalformedXml
 from mobilehost.soap import (
     QName,
@@ -22,6 +29,7 @@ from mobilehost.soap import (
 )
 
 from strategies import (
+    NOT_XML_CHARS,
     c14n_namespaces,
     c14n_text,
     envelopes,
@@ -156,3 +164,15 @@ class TestSerializeBodyCanonical:
         after = serialize_body_canonical(env)
         assert b"<svc:opResponse" in after and after != before
         assert after == reference_body_canonical(env)
+
+
+class TestXmlChars:
+    # short text goes through a regex, long ASCII text through one find
+    # per control character; both must agree with the XML 1.0 Char rule
+    @pytest.mark.parametrize("length", [3, 10_000])
+    def test_each_forbidden_character_is_found(self, length):
+        pad = "a" * (length // 2)
+        assert xml_chars_ok(pad + "\t\n\r<&é" + pad)
+        for c in NOT_XML_CHARS:
+            assert not xml_chars_ok(pad + c + pad), repr(c)
+            assert xml_safe_text(pad + c + pad) == pad + "\ufffd" + pad
