@@ -115,7 +115,7 @@ def classify_request(
     """
     if len(payload) > MAX_PAYLOAD:
         return "malformed", None
-    otherwise = "malformed"
+    not_envelope = "malformed"  # the class of a payload that is no envelope
     if headers is not None:
         method = (method or "").upper()
         if method == "GET":
@@ -131,14 +131,14 @@ def classify_request(
             elif lk == "soapaction":
                 soap_action = True
         if not ("xml" in content_type or soap_action):
-            otherwise = "web"
+            not_envelope = "web"
     try:
         parsed = parse_xml(payload)
     except MalformedXml as e:
-        return otherwise, e
+        return not_envelope, e
     if parsed.tag == f"{{{SOAP_ENV_NS}}}Envelope":
         return "soap", parsed
-    return otherwise, parsed
+    return not_envelope, parsed
 
 
 # --- framing (rawTcp) -------------------------------------------------------
