@@ -502,12 +502,16 @@ class Host:
 
 
 def _received_root(req: InboundRequest):
-    """The root element classify_request parsed from the payload. The
-    payload itself is never parsed again."""
+    """The root element classify_request parsed from the payload; the
+    payload itself is never parsed again. A payload that did not parse
+    is the caller's fault. A request with no parse at all was built
+    without classify_request, which is the embedder's error: a plain
+    exception, answered as a Server fault."""
     if isinstance(req.parsed, MalformedXml):
         raise MalformedXml(str(req.parsed))
     if req.parsed is None:
-        raise MalformedXml("request payload was not parsed")
+        raise TypeError("soap request carries no parse of its payload; "
+                        "build it with transport.classify_request")
     return req.parsed
 
 
@@ -560,6 +564,11 @@ def _decrypt_carrier(call: SoapCall, private_key) -> SoapCall:
 def _respond(desc: ServiceDescriptor, sig: MethodSignature, raw_result: TypedValue,
              signing_key) -> OutboundResponse:
     """Coerce the handler's result, then serialize and sign the response."""
+    # coerce_result refuses characters XML 1.0 cannot carry, so such a
+    # result is a Server fault whether or not the service is secured.
+    # Signing scans the text once more (the emitter checks all it writes,
+    # as attach_signature reaches it without coerce_result); on ASCII text
+    # that second scan costs about 0.5 us per KiB.
     result = coerce_result(sig, raw_result)
     response = SoapEnvelope(
         body=SoapResponseBody(

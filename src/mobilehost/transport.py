@@ -21,8 +21,9 @@ import concurrent.futures
 import socket
 import struct
 import threading
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .canonical import SOAP_ENV_NS, parse_xml
 from .errors import BindFailure, MalformedXml, PeerGone
@@ -81,8 +82,10 @@ class InboundRequest:
     query: str = ""
     method: str = ""
     # what classify_request's parse of the payload gave: the root element,
-    # the MalformedXml it raised, or None if it did not parse the payload
-    parsed: object = field(default=None, repr=False, compare=False)
+    # the MalformedXml it raised (the soap branch answers a request built
+    # from such a payload with that error), or None if it did not parse
+    parsed: Union[ET.Element, MalformedXml, None] = field(
+        default=None, repr=False, compare=False)
     _channel: object = field(default=None, repr=False, compare=False)
 
 

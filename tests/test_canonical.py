@@ -167,12 +167,11 @@ class TestSerializeBodyCanonical:
 
 
 class TestXmlChars:
-    # short text goes through a regex, long ASCII text through one find
-    # per control character; both must agree with the XML 1.0 Char rule
-    @pytest.mark.parametrize("length", [3, 10_000])
-    def test_each_forbidden_character_is_found(self, length):
-        pad = "a" * (length // 2)
-        assert xml_chars_ok(pad + "\t\n\r<&é" + pad)
+    # ASCII text goes through one find per control character, other text
+    # through a regex; both must agree with the XML 1.0 Char rule
+    @pytest.mark.parametrize("pad", ["a", "é"])
+    def test_each_forbidden_character_is_found(self, pad):
+        assert xml_chars_ok(pad + "\t\n\r<&" + pad)
         for c in NOT_XML_CHARS:
             assert not xml_chars_ok(pad + c + pad), repr(c)
             assert xml_safe_text(pad + c + pad) == pad + "\ufffd" + pad

@@ -945,6 +945,20 @@ class TestOneParsePerRequest:
         cert = host.service_certificate("CadastroEscolar")
         assert verify_envelope_signature(resp.body, cert) is True
 
+    def test_soap_request_without_its_root_is_a_server_fault(self, tmp_path, fig13_bytes,
+                                                            xml_calls):
+        # built by hand instead of through classify_request: the host's
+        # fault, answered without parsing the payload
+        host = make_host(tmp_path)
+        resp = host.handle_request(InboundRequest(
+            transportKind="loopback", peer="test", path="", headers=None,
+            payload=fig13_bytes, classification="soap"))
+        assert xml_calls["fromstring"] == 0
+        fault = parse_envelope(resp.body).body
+        assert (resp.status, fault.faultcode, fault.faultstring) == (
+            500, "Server", "internal host error")
+        assert [e.outcome for e in host.registry.log_entries()] == ["serverFault"]
+
 
 def tcp_exchange(port: int, payload: bytes) -> bytes:
     with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
