@@ -86,6 +86,11 @@ class UnencodableResult(MobileHostError):
         super().__init__("handler result holds characters XML 1.0 cannot carry")
 
 
+class InvalidResultLexical(MobileHostError):
+    def __init__(self, xsd_name: str):
+        super().__init__(f"handler result is not a valid {xsd_name} lexical value")
+
+
 class HandlerError(MobileHostError):
     """Raised by a service handler to signal a failure during execution.
     The host wraps whatever a handler raises in one of these."""

@@ -14,14 +14,16 @@ from typing import List, Protocol
 
 from .errors import (
     ArityMismatch,
+    InvalidResultLexical,
+    MalformedXml,
     NameMismatch,
     ReturnTypeMismatch,
     TypeMismatch,
     UnencodableResult,
     UnknownMethod,
 )
-from .canonical import xml_chars_ok
-from .soap import SoapCall, TypedValue, XsdType, _is_token
+from .canonical import XML_NS, XMLNS_NS, xml_chars_ok
+from .soap import SoapCall, TypedValue, XsdType, _is_token, parse_lexical
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,11 @@ class ServiceDescriptor:
         names = [m.name for m in self.methods]
         if len(names) != len(set(names)):
             raise ValueError("method names must be unique within a service")
+        # replies and the WSDL bind these names; XML forbids binding the
+        # reserved ones and cannot write characters outside XML 1.0
+        for uri in (self.namespaceUri, self.responseNamespaceUri):
+            if uri in (XML_NS, XMLNS_NS) or not xml_chars_ok(uri):
+                raise ValueError(f"namespace XML cannot carry: {uri!r}")
 
     def method(self, name: str) -> MethodSignature:
         for m in self.methods:
@@ -104,13 +111,19 @@ def validate_call(desc: ServiceDescriptor, call: SoapCall) -> MethodSignature:
 
 def coerce_result(sig: MethodSignature, raw: TypedValue) -> TypedValue:
     """Enforce the declared return type, no silent coercion, and a
-    lexical form XML 1.0 can carry."""
+    lexical form XML 1.0 can carry that is valid for the type."""
     if not isinstance(raw, TypedValue):
         raise ReturnTypeMismatch(sig.returnType.value, type(raw).__name__)
     if raw.xsdType is not sig.returnType:
         raise ReturnTypeMismatch(sig.returnType.value, raw.xsdType.value)
     if not xml_chars_ok(raw.lexical):
         raise UnencodableResult()
+    # any string is a valid xsd:string, so echoing text pays nothing here
+    if raw.xsdType is not XsdType.STRING:
+        try:
+            parse_lexical(raw.xsdType, raw.lexical)
+        except MalformedXml:
+            raise InvalidResultLexical(raw.xsdType.xsd_name) from None
     return raw
 
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from mobilehost.canonical import (
     XML_NS,
     XMLNS_NS,
+    _xml_text,
     body_canonical,
     canonicalize,
+    parse_xml,
     xml_chars_ok,
     xml_safe_text,
 )
@@ -79,6 +81,129 @@ class TestCanonicalize:
     def test_dtd_rejected(self):
         with pytest.raises(MalformedXml):
             canonicalize(b"<!DOCTYPE x><x/>")
+
+
+# --- parse_xml against ElementTree's own parser ------------------------------
+
+
+def reference_parse_xml(raw) -> ET.Element:
+    """parse_xml as ElementTree's parser gives it: same decoding and DTD
+    refusal, then ET.fromstring."""
+    try:
+        return ET.fromstring(_xml_text(raw))
+    except ET.ParseError as e:
+        raise MalformedXml(str(e)) from None
+
+
+def tree_shape(el: ET.Element) -> tuple:
+    # text and tail stay as they are, so None and "" differ
+    return (el.tag, list(el.attrib.items()), el.text, el.tail,
+            [tree_shape(child) for child in el])
+
+
+def parse_outcome(parse, raw) -> tuple:
+    try:
+        return ("tree", tree_shape(parse(raw)))
+    except MalformedXml as e:
+        return ("MalformedXml", str(e))
+
+
+def assert_parsed_alike(raw) -> tuple:
+    expected = parse_outcome(reference_parse_xml, raw)
+    assert parse_outcome(parse_xml, raw) == expected, raw
+    return expected
+
+
+# pieces of element content that make expat split and join character data
+DENSE_PIECES = (
+    "&lt;", "&amp;", "&gt;", "&quot;", "&apos;", "&#60;", "&#x26;", "&#233;",
+    "&#x10000;", "\r", "\r\n", "\n", " ", "<!-- c -->", "<?pi data?>",
+    "<![CDATA[<&>]]>", "<![CDATA[]]>", "<e/>", '<p:e a="&lt;&#9;\r\n" p:b="x"/>',
+    "<e>&amp;x&lt;</e>", "ab", "é€", "\U0001f600",
+)
+dense_content = st.lists(
+    st.one_of(st.sampled_from(DENSE_PIECES),
+              st.text(alphabet="abc \t\r\n]>'\"", max_size=8)),
+    max_size=30,
+).map("".join)
+
+MUTATION_BYTES = b"<>/&;#=:\"' \r\nx!?[]-"
+
+# each one not well-formed, or not accepted before parsing
+MALFORMED_DOCUMENTS = (
+    b"<a>&undefined;</a>",
+    b"<p:a/>",
+    b'<a p:b="1"/>',
+    b"<a></b>",
+    b"<a/>junk",
+    b"<a/><b/>",
+    b"<a>&#1;</a>",
+    b"<a>&#xD800;</a>",
+    b"<a b='1' b='2'/>",
+    b'<a xmlns:p="urn:p" xmlns:q="urn:p" p:b="1" q:b="2"/>',
+    b"<a",
+    b"<a>text",
+    b"<a><!-- unclosed",
+    b"<a><![CDATA[x</a>",
+    b"",
+    b"   ",
+    b"<a>\xff</a>",
+    b"\xef\xbb<a/>",
+    b"<!DOCTYPE a><a/>",
+    b'<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',
+    b"<?xml version='1.0'?><?xml version='1.0'?><a/>",
+    b'<a xmlns:xml="urn:other"/>',
+    b'<a xmlns:p=""/>',
+    b"<a>\x01</a>",
+)
+
+
+class TestParseXmlMatchesElementTree:
+    """parse_xml gives the tree, or the error text, ET.fromstring gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelopes(text=c14n_text, ns=c14n_namespaces))
+    def test_serialized_envelopes(self, env):
+        kind, _ = assert_parsed_alike(serialize_envelope(env))
+        assert kind == "tree"
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=dense_content, inner=dense_content, tail=dense_content)
+    def test_text_dense_with_references_and_markup(self, head, inner, tail):
+        doc = (f'<?xml version="1.0"?>\r\n<!-- before --><r xmlns:p="urn:p">{head}'
+               f'<p:c xmlns="urn:d">{inner}</p:c>{tail}</r><?after?>\n')
+        assert_parsed_alike(doc)
+        assert_parsed_alike(doc.encode("utf-8"))
+
+    def test_large_text_crosses_the_text_buffer(self):
+        text = "a&lt;b&amp;" * 5000 + "\r\n" + "é" * 20000
+        kind, shape = assert_parsed_alike(f"<r>{text}<e/>{text}</r>".encode("utf-8"))
+        assert kind == "tree" and len(shape[2]) == 4 * 5000 + 1 + 20000
+
+    def test_mutated_fig13_payloads(self, fig13_bytes):
+        rng = random.Random(4242)
+        kinds = set()
+        for _ in range(400):
+            mutated = bytearray(fig13_bytes)
+            for _ in range(rng.randint(1, 3)):
+                # mostly markup characters; a random byte is seldom UTF-8
+                mutated[rng.randrange(len(mutated))] = (
+                    rng.choice(MUTATION_BYTES) if rng.random() < 0.8 else rng.randrange(256))
+            if rng.random() < 0.2:
+                del mutated[rng.randrange(len(mutated)):]
+            kind, detail = assert_parsed_alike(bytes(mutated))
+            kinds.add(kind if kind == "tree" else detail.split(":")[0])
+        # the mutations reach both trees and several kinds of error
+        assert "tree" in kinds and len(kinds) > 5, kinds
+
+    @pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS)
+    def test_malformed_documents(self, doc):
+        kind, _ = assert_parsed_alike(doc)
+        assert kind == "MalformedXml"
+
+    def test_golden_files(self, fig13_bytes, fig14_bytes):
+        for doc in (fig13_bytes, fig14_bytes):
+            assert assert_parsed_alike(doc)[0] == "tree"
 
 
 class TestBodyCanonical:

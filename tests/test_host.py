@@ -11,11 +11,14 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 
+import pyexpat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobilehost.canonical import body_canonical, canonicalize
+from mobilehost import transport
+from mobilehost.canonical import body_canonical, canonicalize, parse_xml
 from mobilehost.errors import (
     CorruptSnapshot,
     DuplicateService,
@@ -829,9 +832,10 @@ def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
 #
 # One row per handler outcome, each against a secured and an unsecured
 # service. A result with a character outside XML 1.0 is a Server fault,
-# such a character in a fault text becomes U+FFFD, and a result that is
-# not a TypedValue is a ReturnTypeMismatch; every answer is well-formed
-# and signed iff the service is secured.
+# such a character in a fault text becomes U+FFFD, a result that is not
+# a TypedValue is a ReturnTypeMismatch, and a lexical form its type does
+# not allow is a Server fault; every answer is well-formed and signed
+# iff the service is secured.
 
 
 class OddHandler:
@@ -840,6 +844,8 @@ class OddHandler:
             return TypedValue.of(XsdType.STRING, "x\x01y")
         if methodName == "badRaise":
             raise ValueError("bad \x01")
+        if methodName == "badLexical":
+            return TypedValue(XsdType.INT, "abc", 1)
         return "plain str"
 
 
@@ -850,8 +856,9 @@ def odd_descriptor(secure: bool) -> ServiceDescriptor:
         namespaceUri=f"http://localhost:5000/{name}.jws",
         endpointPath=f"/{name}.jws",
         responseNamespaceUri=f"http://localhost:5000/{name}.jws",
-        methods=tuple(MethodSignature(m, (), XsdType.STRING)
-                      for m in ("badResult", "badRaise", "plainStr")),
+        methods=tuple(MethodSignature(m, (), returns) for m, returns in (
+            ("badResult", XsdType.STRING), ("badRaise", XsdType.STRING),
+            ("plainStr", XsdType.STRING), ("badLexical", XsdType.INT))),
         securityEnabled=secure,
     )
 
@@ -860,6 +867,7 @@ HANDLER_OUTPUT_MATRIX = [
     ("badResult", "Server", "handler result holds characters XML 1.0 cannot carry", None),
     ("badRaise", "Server", "handler failure", "bad \ufffd"),
     ("plainStr", "Server", "handler returned str, signature declares string", None),
+    ("badLexical", "Server", "handler result is not a valid xsd:int lexical value", None),
 ]
 
 
@@ -889,7 +897,9 @@ def test_handler_output_matrix(tmp_path, secure, method, code, string, detail):
 
 @pytest.fixture
 def xml_calls(monkeypatch):
-    """Count ET.fromstring and ET.canonicalize calls from any thread."""
+    """Count XML parses from any thread: every expat parser created
+    (canonical.parse_xml makes one per document) and every
+    ET.fromstring and ET.canonicalize call."""
     counts = collections.Counter()
     lock = threading.Lock()
 
@@ -900,33 +910,58 @@ def xml_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("fromstring", "canonicalize"):
-        monkeypatch.setattr(ET, name, counting(name, getattr(ET, name)))
+    for module, name in ((pyexpat, "ParserCreate"), (ET, "fromstring"), (ET, "canonicalize")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
+
+
+def send_fig13_on_every_transport(tmp_path, fig13_bytes, xml_calls) -> dict:
+    """{transport: (parses counted, reply body)} for one fig13 call each
+    over loopback, HTTP and rawTcp."""
+    http, tcp = free_port(), free_port()
+    host = make_host(tmp_path, BindingConfig(kind="loopback"),
+                     BindingConfig(kind="http", port=http),
+                     BindingConfig(kind="rawTcp", port=tcp))
+    host.start()
+    try:
+        sends = {
+            "loopback": lambda: host.listener("loopback").request(fig13_bytes).body,
+            "http": lambda: http_request(
+                f"http://127.0.0.1:{http}/CadastroEscolar.jws", fig13_bytes)[1],
+            "rawTcp": lambda: tcp_exchange(tcp, fig13_bytes),
+        }
+        seen = {}
+        for kind, send in sends.items():
+            xml_calls.clear()
+            body = send()
+            seen[kind] = (dict(xml_calls), body)
+        return seen
+    finally:
+        host.shutdown()
 
 
 class TestOneParsePerRequest:
     def test_plain_call_is_parsed_once_on_every_transport(self, tmp_path, fig13_bytes,
                                                           fig14_bytes, xml_calls):
-        http, tcp = free_port(), free_port()
-        host = make_host(tmp_path, BindingConfig(kind="loopback"),
-                         BindingConfig(kind="http", port=http),
-                         BindingConfig(kind="rawTcp", port=tcp))
-        host.start()
-        try:
-            sends = {
-                "loopback": lambda: host.listener("loopback").request(fig13_bytes).body,
-                "http": lambda: http_request(
-                    f"http://127.0.0.1:{http}/CadastroEscolar.jws", fig13_bytes)[1],
-                "rawTcp": lambda: tcp_exchange(tcp, fig13_bytes),
-            }
-            for kind, send in sends.items():
-                xml_calls.clear()
-                body = send()
-                assert dict(xml_calls) == {"fromstring": 1}, kind
-                assert canonicalize(body) == canonicalize(fig14_bytes), kind
-        finally:
-            host.shutdown()
+        seen = send_fig13_on_every_transport(tmp_path, fig13_bytes, xml_calls)
+        assert list(seen) == ["loopback", "http", "rawTcp"]
+        for kind, (counts, body) in seen.items():
+            assert counts == {"ParserCreate": 1}, kind
+            assert canonicalize(body) == canonicalize(fig14_bytes), kind
+
+    def test_a_listener_parsing_twice_is_counted(self, tmp_path, fig13_bytes, xml_calls,
+                                                 monkeypatch):
+        # the counter the test above relies on sees a second parse
+        classify = transport.classify_request
+
+        def parse_then_classify(payload, *args, **kwargs):
+            parse_xml(payload)
+            return classify(payload, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "classify_request", parse_then_classify)
+        seen = send_fig13_on_every_transport(tmp_path, fig13_bytes, xml_calls)
+        assert {kind: counts for kind, (counts, _) in seen.items()} == {
+            kind: {"ParserCreate": 2} for kind in ("loopback", "http", "rawTcp")}
 
     def test_secured_call_parses_nothing_after_the_handler(self, tmp_path, fig13_bytes,
                                                             xml_calls):
@@ -953,7 +988,7 @@ class TestOneParsePerRequest:
         resp = host.handle_request(InboundRequest(
             transportKind="loopback", peer="test", path="", headers=None,
             payload=fig13_bytes, classification="soap"))
-        assert xml_calls["fromstring"] == 0
+        assert sum(xml_calls.values()) == 0
         fault = parse_envelope(resp.body).body
         assert (resp.status, fault.faultcode, fault.faultstring) == (
             500, "Server", "internal host error")

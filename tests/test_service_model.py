@@ -6,8 +6,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
+from mobilehost.canonical import XML_NS, XMLNS_NS
 from mobilehost.errors import (
     ArityMismatch,
+    InvalidResultLexical,
     NameMismatch,
     ReturnTypeMismatch,
     TypeMismatch,
@@ -161,6 +163,16 @@ class TestCoerceResult:
         tv = TypedValue.of(XsdType.BOOLEAN, True)
         assert coerce_result(self.SIG_BOOL, tv) is tv
 
+    @pytest.mark.parametrize("xsd_type, lexical", [
+        (XsdType.INT, "abc"), (XsdType.INT, "1.5"), (XsdType.DOUBLE, "x"),
+        (XsdType.BOOLEAN, "yes"), (XsdType.BOOLEAN, ""),
+    ])
+    def test_lexical_form_must_be_valid_for_its_type(self, xsd_type, lexical):
+        sig = MethodSignature("m", (), xsd_type)
+        with pytest.raises(InvalidResultLexical,
+                           match=f"not a valid {xsd_type.xsd_name} lexical value"):
+            coerce_result(sig, TypedValue(xsd_type, lexical, None))
+
 
 class TestDescriptorInvariants:
     def test_endpoint_must_start_with_slash(self):
@@ -193,6 +205,17 @@ class TestDescriptorInvariants:
                 responseNamespaceUri="urn:x",
                 methods=(m, m),
             )
+
+    @pytest.mark.parametrize("field", ["namespaceUri", "responseNamespaceUri"])
+    @pytest.mark.parametrize("uri", [XML_NS, XMLNS_NS, "urn:bad\x01", "urn:bad\ufffe"],
+                             ids=["xml", "xmlns", "control", "noncharacter"])
+    def test_namespace_xml_cannot_carry_rejected(self, field, uri):
+        fields = dict(serviceName="S", namespaceUri="urn:x", endpointPath="/s",
+                      responseNamespaceUri="urn:x",
+                      methods=(MethodSignature("m", (), XsdType.STRING),))
+        fields[field] = uri
+        with pytest.raises(ValueError, match="namespace XML cannot carry"):
+            ServiceDescriptor(**fields)
 
     def test_duplicate_parameter_names_rejected(self):
         with pytest.raises(ValueError):
