@@ -44,7 +44,11 @@ def _xml_text(raw) -> str:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError as e:
             raise MalformedXml(f"payload is not UTF-8: {e}") from None
-    if "<!DOCTYPE" in raw or "<!ENTITY" in raw:
+    # both markers hold "!", so the gate passes every document the scans
+    # would refuse; a one-character "in" is a memchr (about 0.02 ms per
+    # MiB) where a longer needle costs about 1.45 ms per MiB. A document
+    # that holds a "!" pays the two scans plus that memchr.
+    if "!" in raw and ("<!DOCTYPE" in raw or "<!ENTITY" in raw):
         raise MalformedXml("DTD markup is not accepted")
     return raw
 

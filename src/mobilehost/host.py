@@ -77,7 +77,7 @@ from .soap import (
     parse_envelope,
     serialize_body_canonical,
     serialize_envelope,
-    _esc_text,
+    _text,
 )
 from .transport import InboundRequest, OutboundResponse, start_listener
 from .wsdl import generate_wsdl, store_wsdl
@@ -126,9 +126,9 @@ class AuthHeader:
 def auth_header_xml(auth: AuthHeader) -> str:
     return (
         f'<Auth xmlns="{HEADERS_NS}">'
-        f"<Login>{_esc_text(auth.login)}</Login>"
-        f"<PasswordProof>{_esc_text(auth.passwordProof)}</PasswordProof>"
-        f"<DeviceId>{_esc_text(auth.deviceId)}</DeviceId>"
+        f"<Login>{_text(auth.login).decode()}</Login>"
+        f"<PasswordProof>{_text(auth.passwordProof).decode()}</PasswordProof>"
+        f"<DeviceId>{_text(auth.deviceId).decode()}</DeviceId>"
         f"</Auth>"
     )
 

@@ -73,9 +73,10 @@ class ServiceDescriptor:
         if len(names) != len(set(names)):
             raise ValueError("method names must be unique within a service")
         # replies and the WSDL bind these names; XML forbids binding the
-        # reserved ones and cannot write characters outside XML 1.0
+        # reserved ones and cannot write characters outside XML 1.0, and
+        # the parser, which splits names at "}", refuses a name holding it
         for uri in (self.namespaceUri, self.responseNamespaceUri):
-            if uri in (XML_NS, XMLNS_NS) or not xml_chars_ok(uri):
+            if uri in (XML_NS, XMLNS_NS) or "}" in uri or not xml_chars_ok(uri):
                 raise ValueError(f"namespace XML cannot carry: {uri!r}")
 
     def method(self, name: str) -> MethodSignature:

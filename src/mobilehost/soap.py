@@ -8,6 +8,11 @@ The wire formats mirror the two directions of traffic exactly:
 * responses and faults use the ``soap`` prefix and start with
   ``<?xml version="1.0" encoding="utf-8" ?>``.
 
+Serialization writes UTF-8 bytes: the markup is byte constants, and
+each text and attribute value is encoded once and escaped once as
+bytes, which gives the same output as escaping the text and encoding
+the result.
+
 Parsing accepts any prefix bound to the SOAP 1.1 envelope namespace.
 Only inline parameter values are supported; multi-ref attributes
 (``id`` and ``SOAP-ENC:root``) are preserved opaquely on calls, never
@@ -338,26 +343,63 @@ def _parse_fault(el: ET.Element) -> SoapFault:
 
 
 # --- serialization ----------------------------------------------------------
+#
+# Markup is written as bytes. Each text and attribute value is encoded to
+# UTF-8 once and escaped as bytes: every replacement is ASCII and the bytes
+# of "&", "<", ">", '"', LF, TAB and CR never occur inside a multi-byte
+# UTF-8 sequence, so escaping the encoded text gives the encoding of the
+# escaped text, and bytes.replace is the cheaper of the two.
 
-_XML_DECL = '<?xml version="1.0" encoding="utf-8" ?>\n'
+_REQUEST_OPEN = (
+    f'<SOAP-ENV:Envelope xmlns:xsi="{XSI_NS}" xmlns:xsd="{XSD_NS}"'
+    f' xmlns:SOAP-ENC="{SOAP_ENC_NS}" xmlns:SOAP-ENV="{SOAP_ENV_NS}">\n'
+).encode()
+_RESPONSE_OPEN = (
+    '<?xml version="1.0" encoding="utf-8" ?>\n'
+    f'<soap:Envelope xmlns:xsi="{XSI_NS}" xmlns:xsd="{XSD_NS}"'
+    f' xmlns:soap="{SOAP_ENV_NS}">\n'
+).encode()
+_XSI_TYPE = {t: f' xsi:type="{t.xsd_name}">'.encode() for t in XsdType}
 
 
-def _esc_text(s: str) -> str:
-    # str.replace counts matches over the whole string even where there
-    # are none (about 0.65 ms per MiB), "in" is a memchr that stops at the
-    # first match: a pass runs only where its character occurs
-    if "&" in s:
-        s = s.replace("&", "&amp;")
-    if "<" in s:
-        s = s.replace("<", "&lt;")
-    if ">" in s:
-        s = s.replace(">", "&gt;")
-    return s
+# the bytes as ints: "in" with an int is a memchr, with a one-byte bytes
+# needle it first takes a buffer, about ten times the cost on short text
+_AMP, _LT, _GT, _QUOT, _LF, _TAB, _CR = b'&<>"\n\t\r'
 
 
-def _esc_attr(s: str) -> str:
-    s = _esc_text(s).replace('"', "&quot;")
-    return s.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
+def _esc_text(b: bytes) -> bytes:
+    """Escape UTF-8 encoded character data."""
+    # replace scans the whole buffer even where nothing matches, "in"
+    # stops at the first match: a pass runs only where its byte occurs
+    if _AMP in b:
+        b = b.replace(b"&", b"&amp;")
+    if _LT in b:
+        b = b.replace(b"<", b"&lt;")
+    if _GT in b:
+        b = b.replace(b">", b"&gt;")
+    return b
+
+
+def _esc_attr(b: bytes) -> bytes:
+    """Escape a UTF-8 encoded attribute value for double quotes."""
+    b = _esc_text(b)
+    if _QUOT in b:
+        b = b.replace(b'"', b"&quot;")
+    if _LF in b:
+        b = b.replace(b"\n", b"&#10;")
+    if _TAB in b:
+        b = b.replace(b"\t", b"&#9;")
+    if _CR in b:
+        b = b.replace(b"\r", b"&#13;")
+    return b
+
+
+def _text(s: str) -> bytes:
+    return _esc_text(s.encode())
+
+
+def _attr(s: str) -> bytes:
+    return _esc_attr(s.encode())
 
 
 def serialize_envelope(env: SoapEnvelope) -> bytes:
@@ -368,78 +410,62 @@ def serialize_envelope(env: SoapEnvelope) -> bytes:
     return _serialize_response(env)
 
 
-def _header_block(env: SoapEnvelope, prefix: str) -> str:
-    if not env.headerEntries:
-        return ""
-    entries = "\n".join(raw for _, raw in env.headerEntries)
-    return f"<{prefix}:Header>\n{entries}\n</{prefix}:Header>\n"
+def _open_body(env: SoapEnvelope, prefix: bytes) -> list:
+    """The markup from the Header block, if any, up to the Body's first entry."""
+    out = []
+    if env.headerEntries:
+        out += (b"<", prefix, b":Header>\n",
+                "\n".join(raw for _, raw in env.headerEntries).encode(),
+                b"\n</", prefix, b":Header>\n")
+    out += (b"<", prefix, b":Body")
+    if env.encodingStyle:
+        out += (b" ", prefix, b':encodingStyle="', _attr(env.encodingStyle), b'"')
+    out.append(b">\n")
+    return out
 
 
-def _typed_leaf(name: str, tv: TypedValue, extra_attr: str = "") -> str:
-    return (
-        f"<{name}{extra_attr} xsi:type=\"{tv.xsdType.xsd_name}\">"
-        f"{_esc_text(tv.lexical)}</{name}>"
-    )
+def _typed_leaf(out: list, name: bytes, tv: TypedValue, extra_attr: bytes = b"") -> None:
+    out += (b"<", name, extra_attr, _XSI_TYPE[tv.xsdType], _text(tv.lexical),
+            b"</", name, b">")
 
 
 def _serialize_request(env: SoapEnvelope) -> bytes:
     call = env.body
     op = call.operation
-    attrs = f' xmlns="{_esc_attr(op.namespaceUri)}"'
+    name = op.localName.encode()
+    out = [_REQUEST_OPEN, *_open_body(env, b"SOAP-ENV"),
+           b"<", name, b' xmlns="', _attr(op.namespaceUri), b'"']
     if call.id is not None:
-        attrs += f' id="{_esc_attr(call.id)}"'
+        out += (b' id="', _attr(call.id), b'"')
     if call.rootAttr is not None:
-        attrs += f' SOAP-ENC:root="{_esc_attr(call.rootAttr)}"'
-    body_attr = (
-        f' SOAP-ENV:encodingStyle="{_esc_attr(env.encodingStyle)}"'
-        if env.encodingStyle
-        else ""
-    )
-    params = "\n".join(
-        _typed_leaf(name, tv, extra_attr=' xmlns=""') for name, tv in call.params
-    )
-    inner = f"<{op.localName}{attrs}>\n{params}\n</{op.localName}>" if call.params else f"<{op.localName}{attrs}></{op.localName}>"
-    xml = (
-        f'<SOAP-ENV:Envelope xmlns:xsi="{XSI_NS}" xmlns:xsd="{XSD_NS}"'
-        f' xmlns:SOAP-ENC="{SOAP_ENC_NS}" xmlns:SOAP-ENV="{SOAP_ENV_NS}">\n'
-        f"{_header_block(env, 'SOAP-ENV')}"
-        f"<SOAP-ENV:Body{body_attr}>\n{inner}\n</SOAP-ENV:Body>\n"
-        f"</SOAP-ENV:Envelope>"
-    )
-    return xml.encode("utf-8")
+        out += (b' SOAP-ENC:root="', _attr(call.rootAttr), b'"')
+    out.append(b">")
+    if call.params:
+        for pname, tv in call.params:
+            out.append(b"\n")
+            _typed_leaf(out, pname.encode(), tv, b' xmlns=""')
+        out.append(b"\n")
+    out += (b"</", name, b">\n</SOAP-ENV:Body>\n</SOAP-ENV:Envelope>")
+    return b"".join(out)
 
 
 def _serialize_response(env: SoapEnvelope) -> bytes:
     body = env.body
-    body_attr = (
-        f' soap:encodingStyle="{_esc_attr(env.encodingStyle)}"'
-        if env.encodingStyle
-        else ""
-    )
+    out = [_RESPONSE_OPEN, *_open_body(env, b"soap")]
     if isinstance(body, SoapFault):
-        detail = (
-            f"\n<detail>{_esc_text(body.detail)}</detail>" if body.detail is not None else ""
-        )
-        inner = (
-            f"<soap:Fault>\n<faultcode>{_esc_text(body.faultcode)}</faultcode>\n"
-            f"<faultstring>{_esc_text(body.faultstring)}</faultstring>{detail}\n</soap:Fault>"
-        )
+        out += (b"<soap:Fault>\n<faultcode>", _text(body.faultcode),
+                b"</faultcode>\n<faultstring>", _text(body.faultstring), b"</faultstring>")
+        if body.detail is not None:
+            out += (b"\n<detail>", _text(body.detail), b"</detail>")
+        out.append(b"\n</soap:Fault>")
     else:
         op = body.operation
-        result = _typed_leaf(body.resultName, body.result)
-        inner = (
-            f'<{op.localName} xmlns="{_esc_attr(op.namespaceUri)}">\n'
-            f"{result}\n</{op.localName}>"
-        )
-    xml = (
-        f"{_XML_DECL}"
-        f'<soap:Envelope xmlns:xsi="{XSI_NS}" xmlns:xsd="{XSD_NS}"'
-        f' xmlns:soap="{SOAP_ENV_NS}">\n'
-        f"{_header_block(env, 'soap')}"
-        f"<soap:Body{body_attr}>\n{inner}\n</soap:Body>\n"
-        f"</soap:Envelope>"
-    )
-    return xml.encode("utf-8")
+        name = op.localName.encode()
+        out += (b"<", name, b' xmlns="', _attr(op.namespaceUri), b'">\n')
+        _typed_leaf(out, body.resultName.encode(), body.result)
+        out += (b"\n</", name, b">")
+    out.append(b"\n</soap:Body>\n</soap:Envelope>")
+    return b"".join(out)
 
 
 def serialize_body_canonical(env: SoapEnvelope) -> bytes:

@@ -282,10 +282,12 @@ class HttpListener(_SocketListener):
         if method == "POST":
             if "content-length" not in headers:
                 return (411, "Content-Length required")
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
+            # 1*DIGIT (RFC 9110 section 8.6): int() would also take "-1",
+            # which reads to EOF past the payload cap, "+3" and "1_0"
+            value = headers["content-length"]
+            if not (value.isascii() and value.isdigit()):
                 return (400, "bad Content-Length")
+            length = int(value)
             if length > MAX_PAYLOAD:
                 return (413, "payload too large")
             payload = rfile.read(length)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .canonical import parse_xml
 from .errors import IoFailure, UnsupportedWsdl
 from .service import MethodSignature, ParameterSpec, ServiceDescriptor
-from .soap import XsdType, _esc_attr
+from .soap import XsdType, _attr
 
 WSDL_NS = "http://schemas.xmlsoap.org/wsdl/"
 WSDL_SOAP_NS = "http://schemas.xmlsoap.org/wsdl/soap/"
@@ -39,10 +39,10 @@ def generate_wsdl(desc: ServiceDescriptor, endpoint_url: str) -> WsdlDocument:
     name = desc.serviceName
     w.append('<?xml version="1.0" encoding="utf-8" ?>\n')
     w.append(
-        f'<wsdl:definitions name="{_esc_attr(name)}"'
-        f' targetNamespace="{_esc_attr(desc.namespaceUri)}"'
+        f'<wsdl:definitions name="{_esc(name)}"'
+        f' targetNamespace="{_esc(desc.namespaceUri)}"'
         f' xmlns:wsdl="{WSDL_NS}" xmlns:soap="{WSDL_SOAP_NS}"'
-        f' xmlns:xsd="{XSD_NS}" xmlns:tns="{_esc_attr(desc.namespaceUri)}">\n'
+        f' xmlns:xsd="{XSD_NS}" xmlns:tns="{_esc(desc.namespaceUri)}">\n'
     )
     for m in desc.methods:
         w.append(f'  <wsdl:message name="{m.name}Request">\n')
@@ -55,7 +55,7 @@ def generate_wsdl(desc: ServiceDescriptor, endpoint_url: str) -> WsdlDocument:
     w.append(f'  <wsdl:portType name="{name}PortType">\n')
     for m in desc.methods:
         order = " ".join(p.name for p in m.params)
-        w.append(f'    <wsdl:operation name="{m.name}" parameterOrder="{_esc_attr(order)}">\n')
+        w.append(f'    <wsdl:operation name="{m.name}" parameterOrder="{_esc(order)}">\n')
         w.append(f'      <wsdl:input message="tns:{m.name}Request" />\n')
         w.append(f'      <wsdl:output message="tns:{m.name}Response" />\n')
         w.append("    </wsdl:operation>\n")
@@ -67,23 +67,27 @@ def generate_wsdl(desc: ServiceDescriptor, endpoint_url: str) -> WsdlDocument:
         w.append('      <soap:operation soapAction="" />\n')
         w.append(
             f'      <wsdl:input><soap:body use="encoded"'
-            f' namespace="{_esc_attr(desc.namespaceUri)}"'
+            f' namespace="{_esc(desc.namespaceUri)}"'
             f' encodingStyle="{SOAP_ENC_NS}" /></wsdl:input>\n'
         )
         w.append(
             f'      <wsdl:output><soap:body use="encoded"'
-            f' namespace="{_esc_attr(desc.responseNamespaceUri)}"'
+            f' namespace="{_esc(desc.responseNamespaceUri)}"'
             f' encodingStyle="{SOAP_ENC_NS}" /></wsdl:output>\n'
         )
         w.append("    </wsdl:operation>\n")
     w.append("  </wsdl:binding>\n")
-    w.append(f'  <wsdl:service name="{_esc_attr(name)}">\n')
+    w.append(f'  <wsdl:service name="{_esc(name)}">\n')
     w.append(f'    <wsdl:port name="{name}Port" binding="tns:{name}Binding">\n')
-    w.append(f'      <soap:address location="{_esc_attr(endpoint_url)}" />\n')
+    w.append(f'      <soap:address location="{_esc(endpoint_url)}" />\n')
     w.append("    </wsdl:port>\n")
     w.append("  </wsdl:service>\n")
     w.append("</wsdl:definitions>\n")
     return WsdlDocument(xmlText="".join(w).encode("utf-8"), descriptor=desc)
+
+
+def _esc(s: str) -> str:
+    return _attr(s).decode()
 
 
 def _tag(ns: str, local: str) -> str:

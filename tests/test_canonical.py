@@ -83,6 +83,30 @@ class TestCanonicalize:
             canonicalize(b"<!DOCTYPE x><x/>")
 
 
+class TestDtdRefusal:
+    """_xml_text scans for DTD markup only where a "!" occurs; the gate
+    must not let any document through that the scans refuse."""
+
+    @pytest.mark.parametrize("doc", [
+        "<a><!-- <!DOCTYPE a> --></a>",
+        "<!ENTITY",
+        "!" * 10_000 + "<!DOCTYPE a><a/>",
+        " " * 10_000 + "<!DOCTYPE a><a/>",
+        '<a>x</a><!ENTITY e "y">',
+    ], ids=["doctype-in-comment", "entity-alone", "after-10000-bangs", "after-10000-spaces",
+            "entity-after-root"])
+    def test_dtd_markup_refused(self, doc):
+        for raw in (doc, doc.encode()):
+            with pytest.raises(MalformedXml, match="^DTD markup is not accepted$"):
+                _xml_text(raw)
+
+    def test_bangs_without_dtd_markup_accepted(self):
+        doc = ("<a>" + "!" * 10_000 + "<!-- ! --><![CDATA[!<!]]>&lt;!DOCTYPE"
+               "<b c='!ENTITY'>!</b></a>")
+        assert _xml_text(doc.encode()) == doc
+        assert parse_xml(doc)[0].get("c") == "!ENTITY"
+
+
 # --- parse_xml against ElementTree's own parser ------------------------------
 
 
@@ -155,6 +179,7 @@ MALFORMED_DOCUMENTS = (
     b'<a xmlns:xml="urn:other"/>',
     b'<a xmlns:p=""/>',
     b"<a>\x01</a>",
+    b'<a xmlns="a}b"/>',
 )
 
 

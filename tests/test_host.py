@@ -57,8 +57,8 @@ from mobilehost.soap import (
     TypedValue,
     XsdType,
     make_header_entry,
-    _esc_attr,
-    _esc_text,
+    _attr,
+    _text,
     parse_envelope,
     serialize_envelope,
 )
@@ -1009,8 +1009,8 @@ def tcp_exchange(port: int, payload: bytes) -> bytes:
 @given(value=c14n_text, cert_text=st.one_of(st.none(), c14n_text),
        algorithm=c14n_text)
 def test_signature_header_entry_equals_parsed_form(value, cert_text, algorithm):
-    cert_part = f"<SignerCert>{_esc_text(cert_text)}</SignerCert>" if cert_text else ""
-    wire = (f'<Signature xmlns="urn:mobilehost:headers" algorithm="{_esc_attr(algorithm)}"'
-            f' digest="SHA-256"><Value>{_esc_text(value)}</Value>{cert_part}</Signature>')
+    cert_part = f"<SignerCert>{_text(cert_text).decode()}</SignerCert>" if cert_text else ""
+    wire = (f'<Signature xmlns="urn:mobilehost:headers" algorithm="{_attr(algorithm).decode()}"'
+            f' digest="SHA-256"><Value>{_text(value).decode()}</Value>{cert_part}</Signature>')
     block = SignatureBlock(algorithm=algorithm, digestAlgorithm="SHA-256", value=value)
     assert signature_header_entry(block, cert_text) == make_header_entry(wire)

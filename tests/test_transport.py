@@ -169,6 +169,21 @@ class TestHttpListener:
             raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n\r\n")
             assert b"411" in raw.split(b"\r\n", 1)[0]
 
+    def test_content_length_must_be_digits(self, port):
+        # int() took "-1" (a read to EOF, past the payload cap), "+3" and "1_0"
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            with socket.create_connection(("127.0.0.1", port), timeout=1) as s:
+                s.sendall(b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: -1\r\n\r\nabc")
+                # the socket stays open for writing: the reply must not wait for EOF
+                assert s.recv(65536).startswith(b"HTTP/1.1 400 ")
+            for value in (b"1_0", b"+3", b" 3 3", b"0x3", b"\xb3"):
+                raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n"
+                                    b"Content-Length: " + value + b"\r\n\r\n0123456789")
+                assert raw.startswith(b"HTTP/1.1 400 "), value
+                assert raw.endswith(b"bad Content-Length"), value
+            assert post(port, b"ok").endswith(b"echo:ok")
+
     def test_garbage_request_line_is_400(self, port):
         cfg = BindingConfig(kind="http", port=port)
         with HttpListener(cfg, echo_dispatcher):
