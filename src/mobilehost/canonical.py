@@ -13,10 +13,12 @@ the error text ``ET.fromstring`` gives (a differential test holds the
 two equal), but text between entity references reaches Python in a few
 large chunks instead of one string per run.
 
-``canonicalize`` and ``body_canonical`` work on received bytes.
-``emit_canonical`` writes the same canonical text for an element the
-caller describes, without building or parsing XML: the host signs what
-it is about to serialize through it.
+There is one canonicalizer, ``emit_canonical``: it walks an element
+tree and writes its canonical text. The host runs it on received trees
+(``tree_body_canonical``, header entries) and on the trees it builds
+from its own model (``soap.serialize_body_canonical``), so nothing is
+serialized or parsed again to canonicalize it. ``canonicalize`` is kept
+only as the public, prefix-preserving form of a whole document.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def tree_body_canonical(root: ET.Element) -> bytes:
     body = root.find(f"{{{SOAP_ENV_NS}}}Body")
     if body is None:
         raise MalformedXml("envelope has no Body")
-    return canonicalize(ET.tostring(body, encoding="unicode"))
+    return emit_canonical(body).encode("utf-8")
 
 
 def xml_chars_ok(text: str) -> bool:
@@ -121,64 +123,73 @@ def xml_safe_text(text: str) -> str:
 
 
 # --- writing canonical text directly -----------------------------------------
-#
-# A node is (clark tag, ((clark name, value), ...), text, (child node, ...)).
-# Text is the character data of a leaf; between child elements there is
-# none, as C14N with strip_text drops whitespace-only text.
+
+_XML_SPACE = f"{{{XML_NS}}}space"
 
 
-def emit_canonical(node) -> str:
-    """The text ``canonicalize(ET.tostring(el))`` gives for the element
-    ``el`` that node describes.
+def emit_canonical(el: ET.Element) -> str:
+    """The text ``ET.canonicalize(ET.tostring(el), strip_text=True)``
+    gives for the element el, without el's own tail. el holds elements
+    only, as parse_xml builds them.
 
-    Prefixes are the ones ET.tostring picks: ElementTree's registered
+    Prefixes are the ones ET.tostring picks: ``xml`` for the XML
+    namespace, which is never declared; else ElementTree's registered
     prefix for a namespace (``xsi``, ``xs``, ``wsdl``, ...), else ``ns``
-    plus the number of namespaces met so far, in document order. C14N
-    keeps them and declares each on the outermost element that uses it.
-    Text and attribute values are checked, normalized as a parse would,
-    and escaped with ElementTree's own C14N escapes. Raises MalformedXml
-    where ET.tostring's output would not be well-formed XML.
+    plus the number of other namespaces met so far, in document order.
+    C14N keeps them and declares each on the outermost element that
+    uses it. Text is written as the element's text, then each child
+    followed by its tail; an ``xml:space`` value other than "" sets
+    whether that text and all text below keeps its edge whitespace.
+    Text, attribute values and namespace names are checked before
+    anything is stripped, normalized as a parse would, and escaped with
+    ElementTree's own C14N escapes. Raises MalformedXml where one holds
+    a character XML 1.0 cannot carry.
 
     The prefix registry and the escapes are private names of
     ElementTree, read because its serializer defines the signed bytes; a
-    property test holds this function equal to body_canonical.
+    differential test holds this function equal to that expression.
     """
     out: list = []
-    _emit(node, {}, frozenset(), out)
+    _emit(el, {}, frozenset(), False, out)
     return "".join(out)
 
 
-def _emit(node, prefixes: dict, in_scope: frozenset, out: list) -> None:
-    tag, attrs, text, children = node
-    names = {}  # clark name -> qualified name, in document order
+def _emit(el: ET.Element, prefixes: dict, in_scope: frozenset, preserve: bool,
+          out: list) -> None:
+    attrib = el.attrib
+    names = {}  # clark name -> qualified name
     declare = set()
-    for clark in (tag, *(k for k, _ in attrs)):
+    for clark in (el.tag, *attrib):
         if clark[:1] != "{":
             names[clark] = clark
             continue
         uri, local = clark[1:].rsplit("}", 1)
+        if uri == XML_NS:
+            names[clark] = "xml:" + local
+            continue
         prefix = prefixes.get(uri)
         if prefix is None:
             prefix = prefixes[uri] = _new_prefix(uri, len(prefixes))
         names[clark] = f"{prefix}:{local}"
         if uri not in in_scope:
             declare.add(("xmlns:" + prefix, uri))
-    attr_list = sorted(declare) + [(names[k], _checked(v)) for k, v in sorted(attrs)]
-    out.append("<" + names[tag])
+    attr_list = sorted(declare) + [(names[k], _checked(v)) for k, v in sorted(attrib.items())]
+    out.append("<" + names[el.tag])
     out.extend(f' {k}="{ET._escape_attrib_c14n(v)}"' for k, v in attr_list)
     out.append(">")
-    if children:
+    space = attrib.get(_XML_SPACE)
+    if space:
+        preserve = space == "preserve"
+    _emit_text(el.text, preserve, out)
+    if declare:
         in_scope = in_scope.union(uri for _, uri in declare)
-        for child in children:
-            _emit(child, prefixes, in_scope, out)
-    elif text:
-        out.append(_escape_text(_checked(text)))
-    out.append(f"</{names[tag]}>")
+    for child in el:
+        _emit(child, prefixes, in_scope, preserve, out)
+        _emit_text(child.tail, preserve, out)
+    out.append(f"</{names[el.tag]}>")
 
 
 def _new_prefix(uri: str, taken: int) -> str:
-    if uri in (XML_NS, XMLNS_NS):
-        raise MalformedXml(f"reserved namespace name: {uri}")
     _checked(uri)
     prefix = ET._namespace_map.get(uri)
     return f"ns{taken}" if prefix is None else prefix
@@ -190,8 +201,15 @@ def _checked(text: str) -> str:
     return text
 
 
-def _escape_text(text: str) -> str:
+def _emit_text(text, preserve: bool, out: list) -> None:
+    if not text:
+        return
+    # checked first: a character XML cannot carry may be one strip() drops
+    _checked(text)
     # a parser turns CR LF and lone CR into LF; C14N then strips the ends
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return ET._escape_cdata_c14n(text.strip())
+    if not preserve:
+        text = text.strip()
+    if text:
+        out.append(ET._escape_cdata_c14n(text))

@@ -37,6 +37,7 @@ import contextlib
 import mimetypes
 import threading
 import time
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -151,13 +152,13 @@ def parse_auth_header(raw_xml: str) -> AuthHeader:
 def signature_header_entry(sig: SignatureBlock,
                            signer_cert_text: Optional[str] = None) -> tuple:
     """The Signature header entry in the (QName, canonical text) form
-    make_header_entry gives, written directly."""
-    children = [(f"{{{HEADERS_NS}}}Value", (), sig.value, ())]
+    make_header_entry gives, built as elements instead of parsed."""
+    el = ET.Element(SIGNATURE_HEADER.clark,
+                    {"algorithm": sig.algorithm, "digest": sig.digestAlgorithm})
+    ET.SubElement(el, f"{{{HEADERS_NS}}}Value").text = sig.value
     if signer_cert_text:
-        children.append((f"{{{HEADERS_NS}}}SignerCert", (), signer_cert_text, ()))
-    attrs = (("algorithm", sig.algorithm), ("digest", sig.digestAlgorithm))
-    return (SIGNATURE_HEADER,
-            emit_canonical((SIGNATURE_HEADER.clark, attrs, "", tuple(children))))
+        ET.SubElement(el, f"{{{HEADERS_NS}}}SignerCert").text = signer_cert_text
+    return (SIGNATURE_HEADER, emit_canonical(el))
 
 
 def parse_signature_header(raw_xml: str):

@@ -28,7 +28,14 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .canonical import SOAP_ENV_NS, emit_canonical, parse_xml, xml_safe_text
+from .canonical import (
+    SOAP_ENV_NS,
+    XML_NS,
+    XMLNS_NS,
+    emit_canonical,
+    parse_xml,
+    xml_safe_text,
+)
 from .errors import MalformedXml, NotSoap, UnsupportedType
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
@@ -209,14 +216,6 @@ class SoapEnvelope:
 # --- parsing ---------------------------------------------------------------
 
 
-def _fragment_canonical(el: ET.Element) -> str:
-    """Prefix-neutral canonical text of a detached element subtree."""
-    from .canonical import canonicalize
-
-    text = ET.tostring(el, encoding="unicode")
-    return canonicalize(text.encode("utf-8")).decode("utf-8")
-
-
 def make_header_entry(xml_text: str) -> tuple:
     """Normalize a header fragment into the (QName, canonical text) form
     parse_envelope produces, so constructed envelopes round-trip exactly."""
@@ -224,7 +223,7 @@ def make_header_entry(xml_text: str) -> tuple:
         el = parse_xml(xml_text)
     except MalformedXml as e:
         raise MalformedXml(f"bad header fragment: {e}") from None
-    return (QName.from_clark(el.tag), _fragment_canonical(el))
+    return (QName.from_clark(el.tag), emit_canonical(el))
 
 
 def parse_envelope(raw) -> SoapEnvelope:
@@ -245,7 +244,7 @@ def parse_envelope(raw) -> SoapEnvelope:
         raise MalformedXml("envelope has no Body")
 
     headers = tuple(
-        (QName.from_clark(h.tag), _fragment_canonical(h)) for h in (header_el or ())
+        (QName.from_clark(h.tag), emit_canonical(h)) for h in (header_el or ())
     )
 
     encoding_style = body_el.get(f"{{{SOAP_ENV_NS}}}encodingStyle") or root.get(
@@ -471,39 +470,48 @@ def _serialize_response(env: SoapEnvelope) -> bytes:
 def serialize_body_canonical(env: SoapEnvelope) -> bytes:
     """The canonical Body bytes of env, equal to
     ``canonical.body_canonical(serialize_envelope(env))`` but written from
-    the model: nothing is serialized, parsed or canonicalized. Raises
-    MalformedXml where serialize_envelope's output would not be
-    well-formed XML."""
+    the model: the Body is built as elements and canonicalized without
+    being serialized or parsed. Raises MalformedXml where
+    serialize_envelope's output would not be well-formed XML."""
     body = env.body
+    body_el = ET.Element(f"{{{SOAP_ENV_NS}}}Body")
+    if env.encodingStyle:
+        body_el.set(f"{{{SOAP_ENV_NS}}}encodingStyle", env.encodingStyle)
     if isinstance(body, SoapCall):
-        attrs = () if body.id is None else (("id", body.id),)
+        entry = _operation_element(body_el, body.operation)
+        # wire order, which fixes the prefix numbering
+        if body.id is not None:
+            entry.set("id", body.id)
         if body.rootAttr is not None:
-            attrs += ((f"{{{SOAP_ENC_NS}}}root", body.rootAttr),)
+            entry.set(f"{{{SOAP_ENC_NS}}}root", body.rootAttr)
         # parameters are unqualified (xmlns="") leaves
-        entry = (body.operation.clark, attrs, "",
-                 tuple(_typed_node(name, tv) for name, tv in body.params))
+        for name, tv in body.params:
+            _typed_element(entry, name, tv)
     elif isinstance(body, SoapFault):
-        fields = [("faultcode", body.faultcode), ("faultstring", body.faultstring)]
+        fault = ET.SubElement(body_el, f"{{{SOAP_ENV_NS}}}Fault")
+        ET.SubElement(fault, "faultcode").text = body.faultcode
+        ET.SubElement(fault, "faultstring").text = body.faultstring
         if body.detail is not None:
-            fields.append(("detail", body.detail))
-        entry = (f"{{{SOAP_ENV_NS}}}Fault", (), "",
-                 tuple((name, (), text, ()) for name, text in fields))
+            ET.SubElement(fault, "detail").text = body.detail
     else:
+        entry = _operation_element(body_el, body.operation)
         # the result element inherits the operation's default namespace
         ns = body.operation.namespaceUri
-        result_tag = f"{{{ns}}}{body.resultName}" if ns else body.resultName
-        entry = (body.operation.clark, (), "", (_typed_node(result_tag, body.result),))
-    body_attrs = (
-        ((f"{{{SOAP_ENV_NS}}}encodingStyle", env.encodingStyle),)
-        if env.encodingStyle
-        else ()
-    )
-    node = (f"{{{SOAP_ENV_NS}}}Body", body_attrs, "", (entry,))
-    return emit_canonical(node).encode("utf-8")
+        _typed_element(entry, f"{{{ns}}}{body.resultName}" if ns else body.resultName,
+                       body.result)
+    return emit_canonical(body_el).encode("utf-8")
 
 
-def _typed_node(tag: str, tv: TypedValue) -> tuple:
-    return (tag, ((f"{{{XSI_NS}}}type", tv.xsdType.xsd_name),), tv.lexical, ())
+def _operation_element(body_el: ET.Element, op: QName) -> ET.Element:
+    # serialize_envelope binds the operation namespace as the default
+    # one, which XML refuses for these two
+    if op.namespaceUri in (XML_NS, XMLNS_NS):
+        raise MalformedXml(f"reserved namespace name: {op.namespaceUri}")
+    return ET.SubElement(body_el, op.clark)
+
+
+def _typed_element(parent: ET.Element, tag: str, tv: TypedValue) -> None:
+    ET.SubElement(parent, tag, {f"{{{XSI_NS}}}type": tv.xsdType.xsd_name}).text = tv.lexical
 
 
 def make_fault(code: str, message: str, detail: Optional[str] = None) -> SoapEnvelope:

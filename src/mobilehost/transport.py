@@ -42,6 +42,7 @@ _REASONS = {
     411: "Length Required",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -270,13 +271,26 @@ class HttpListener(_SocketListener):
         if not version.startswith("HTTP/1."):
             return (400, "unsupported protocol version")
         headers = {}
+        lengths = set()
         while True:
             line = rfile.readline(8192)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = line.decode("latin-1").partition(":")
             if sep:
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                headers[name] = value
+                if name == "content-length":
+                    lengths.add(value)
+        # RFC 9112 section 6.1: a body framed both ways may be read
+        # differently by a proxy, and no transfer coding is implemented
+        if "transfer-encoding" in headers:
+            if lengths:
+                return (400, "Transfer-Encoding with Content-Length")
+            return (501, "Transfer-Encoding is not supported")
+        # RFC 9110 section 8.6: differing lengths make the message invalid
+        if len(lengths) > 1:
+            return (400, "conflicting Content-Length")
         method = method.upper()
         payload = b""
         if method == "POST":

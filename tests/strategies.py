@@ -81,6 +81,71 @@ NOT_XML_CHARS = (
 not_xml_text = st.tuples(xml_text, st.sampled_from(NOT_XML_CHARS), xml_text).map("".join)
 
 
+# --- received documents for the canonical emitter -----------------------------
+#
+# Documents written as text, so they carry what a model never builds:
+# mixed text and tails, xml:space and xml:lang, elements in the XML
+# namespace, prefixes bound and re-bound per element (also to a
+# registered namespace, or under a name ET.tostring itself writes, such
+# as ns0), xmlns="" and CR as a character reference.
+
+XML_PREFIX_NS = "http://www.w3.org/XML/1998/namespace"
+DOC_NAMESPACES = (
+    "urn:a", "urn:b", "http://www.w3.org/2001/XMLSchema-instance",
+    "http://www.w3.org/2001/XMLSchema", SOAP_ENV_NS,
+)
+DOC_PREFIXES = ("p", "q", "xsi", "ns0", "ns1")
+ATTR_LOCALS = ("a", "b", "type", "id", "space", "lang")
+
+
+def _doc_escape(text: str, quote: bool, cr_ref: bool) -> str:
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if quote:
+        text = text.replace('"', "&quot;")
+    return text.replace("\r", "&#13;") if cr_ref else text
+
+
+@st.composite
+def _doc_element(draw, in_scope: frozenset, cr_ref: bool, depth: int) -> str:
+    decls = draw(st.lists(st.tuples(st.sampled_from(("",) + DOC_PREFIXES),
+                                    st.sampled_from(("",) + DOC_NAMESPACES)),
+                          max_size=2, unique_by=lambda d: d[0]))
+    # a prefix cannot be bound to no namespace; the default one can
+    decls = [(p, uri) for p, uri in decls if uri or not p]
+    in_scope = in_scope | {p for p, _ in decls if p}
+
+    def qualified(local: str) -> str:
+        prefix = draw(st.sampled_from(("", "xml") + tuple(sorted(in_scope))))
+        return f"{prefix}:{local}" if prefix else local
+
+    tag = qualified(draw(st.sampled_from(("e", "f", "Body"))))
+    parts = [f"<{tag}"]
+    parts += [f' xmlns:{p}="{uri}"' if p else f' xmlns="{uri}"' for p, uri in decls]
+    # unique local names keep two attributes from expanding to one name
+    for local in draw(st.lists(st.sampled_from(ATTR_LOCALS), max_size=3, unique=True)):
+        if local == "space":
+            name = "xml:space"
+            value = draw(st.sampled_from(("preserve", "default", "")))
+        else:
+            name = qualified(local)
+            value = draw(c14n_text)
+        parts.append(f' {name}="{_doc_escape(value, True, cr_ref)}"')
+    parts.append(">")
+    parts.append(_doc_escape(draw(c14n_text), False, cr_ref))
+    if depth < 3:
+        for _ in range(draw(st.integers(0, 3))):
+            parts.append(draw(_doc_element(in_scope, cr_ref, depth + 1)))
+            parts.append(_doc_escape(draw(c14n_text), False, cr_ref))
+    parts.append(f"</{tag}>")
+    return "".join(parts)
+
+
+@st.composite
+def received_documents(draw) -> str:
+    """A well-formed document with the features above."""
+    return draw(_doc_element(frozenset(), draw(st.booleans()), 0))
+
+
 @st.composite
 def typed_values(draw, text=xml_text) -> TypedValue:
     xsd_type = draw(st.sampled_from(list(XsdType)))

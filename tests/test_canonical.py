@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobilehost.canonical import (
+    SOAP_ENV_NS,
     XML_NS,
     XMLNS_NS,
     _xml_text,
     body_canonical,
     canonicalize,
+    emit_canonical,
     parse_xml,
     xml_chars_ok,
     xml_safe_text,
@@ -37,6 +39,7 @@ from strategies import (
     envelopes,
     not_xml_text,
     rand_envelope,
+    received_documents,
 )
 
 
@@ -251,9 +254,52 @@ class TestBodyCanonical:
             )
 
 
+def reference_canonical(el: ET.Element) -> str:
+    """emit_canonical's definition: ElementTree's serializer and C14N on
+    el, without its tail."""
+    tail, el.tail = el.tail, None
+    try:
+        return ET.canonicalize(ET.tostring(el, encoding="unicode"), strip_text=True)
+    except ET.ParseError as e:
+        raise MalformedXml(str(e)) from None
+    finally:
+        el.tail = tail
+
+
 def reference_body_canonical(env: SoapEnvelope) -> bytes:
-    """What a verifier computes from the wire: serialize, parse, C14N."""
-    return body_canonical(serialize_envelope(env))
+    """What a verifier computes from the wire, through ElementTree alone:
+    serialize, parse, C14N of the Body."""
+    try:
+        root = ET.fromstring(serialize_envelope(env))
+    except ET.ParseError as e:
+        raise MalformedXml(str(e)) from None
+    return reference_canonical(root.find(f"{{{SOAP_ENV_NS}}}Body")).encode("utf-8")
+
+
+class TestEmitCanonicalMatchesElementTree:
+    """The one canonicalizer against ElementTree on received trees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(received_documents())
+    def test_every_subtree_of_a_received_document(self, doc):
+        for el in parse_xml(doc).iter():
+            assert emit_canonical(el) == reference_canonical(el)
+
+    def test_own_tail_is_left_out(self):
+        el = parse_xml('<r><a xmlns="urn:a">x</a> after </r>')[0]
+        assert emit_canonical(el) == '<ns0:a xmlns:ns0="urn:a">x</ns0:a>'
+
+    def test_xml_space(self):
+        doc = ('<r xml:space="preserve"> a <k xml:space=""> b </k> c '
+               '<d xml:space="default"> d <k> e </k> f </d></r>')
+        assert emit_canonical(parse_xml(doc)) == (
+            '<r xml:space="preserve"> a <k xml:space=""> b </k> c '
+            '<d xml:space="default">d<k>e</k>f</d></r>')
+
+    def test_xml_namespace_is_neither_declared_nor_counted(self):
+        doc = '<xml:r xmlns:p="urn:p" xml:lang="pt"><p:e p:a="1"/></xml:r>'
+        assert emit_canonical(parse_xml(doc)) == (
+            '<xml:r xml:lang="pt"><ns0:e xmlns:ns0="urn:p" ns0:a="1"></ns0:e></xml:r>')
 
 
 class TestSerializeBodyCanonical:
@@ -274,7 +320,9 @@ class TestSerializeBodyCanonical:
         from mobilehost.soap import parse_envelope
 
         for doc in (fig13_bytes, fig14_bytes):
-            assert serialize_body_canonical(parse_envelope(doc)) == body_canonical(doc)
+            env = parse_envelope(doc)
+            assert serialize_body_canonical(env) == reference_body_canonical(env)
+            assert serialize_body_canonical(env) == body_canonical(doc)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -363,6 +363,39 @@ class TestSecurityGating:
         assert "signature" in fault.faultstring
 
 
+class TestTextAfterHeaderEntryOrBody:
+    """Text after a header entry, or after the Body, is content of the
+    parent element and belongs to neither, so their canonical text
+    leaves it out."""
+
+    def test_text_after_a_header_entry(self, demo_host, fig13_bytes):
+        payload = fig13_bytes.replace(
+            b"<SOAP-ENV:Body",
+            b'<SOAP-ENV:Header><h:X xmlns:h="urn:h">v</h:X>junk</SOAP-ENV:Header>\n'
+            b"<SOAP-ENV:Body", 1)
+        resp = demo_host.handle_request(soap_request(payload))
+        assert resp.status == 200
+        assert parse_envelope(resp.body).body.result.value.startswith("#A001")
+
+    @pytest.mark.parametrize("text", [b"tail", b"&lt;x"])
+    def test_text_after_a_signed_body(self, tmp_path, fig13_bytes, keypair, text):
+        host = make_host(tmp_path, secure_demo=True)
+        cert = issue_certificate(keypair, "Consumer/")
+        signed = attach_signature(fig13_bytes, keypair.privateKey,
+                                  render_certificate_text(cert))
+        payload = signed.replace(b"</SOAP-ENV:Body>", b"</SOAP-ENV:Body>" + text, 1)
+        assert payload != signed
+        # the signature is checked, and checks: a tampered Body still fails
+        tampered = payload.replace(b"A001", b"A002", 1)
+        assert fault_of(host.handle_request(soap_request(tampered))).faultstring == (
+            "signature verification failed")
+        resp = host.handle_request(soap_request(payload))
+        assert resp.status == 200
+        assert parse_envelope(resp.body).body.result.value.startswith("#A001")
+        assert verify_envelope_signature(resp.body, host.service_certificate(
+            "CadastroEscolar")) is True
+
+
 class TestCreateService:
     def test_wsdl_written_and_route_live(self, tmp_path):
         host = make_host(tmp_path)

@@ -184,6 +184,30 @@ class TestHttpListener:
                 assert raw.endswith(b"bad Content-Length"), value
             assert post(port, b"ok").endswith(b"echo:ok")
 
+    def test_differing_content_lengths_are_400(self, port):
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n"
+                                b"Content-Length: 10\r\n\r\n0123456789")
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert raw.endswith(b"conflicting Content-Length")
+            # a repeated equal value is one length
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n"
+                                b"Content-Length: 3\r\n\r\nabc")
+            assert raw.startswith(b"HTTP/1.1 200 ") and raw.endswith(b"echo:abc")
+
+    def test_transfer_encoding_is_refused(self, port):
+        # a proxy may frame such a body by the other header
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 10\r\n"
+                                b"Transfer-Encoding: chunked\r\n\r\n0123456789")
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert raw.endswith(b"Transfer-Encoding with Content-Length")
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n"
+                                b"Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n")
+            assert raw.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+
     def test_garbage_request_line_is_400(self, port):
         cfg = BindingConfig(kind="http", port=port)
         with HttpListener(cfg, echo_dispatcher):
