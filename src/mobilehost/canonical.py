@@ -19,6 +19,9 @@ tree and writes its canonical text. The host runs it on received trees
 from its own model (``soap.serialize_body_canonical``), so nothing is
 serialized or parsed again to canonicalize it. ``canonicalize`` is kept
 only as the public, prefix-preserving form of a whole document.
+``keeps_space`` and ``canonical_text`` are its rule for character data,
+shared with the readers of received header entries, so a field read
+from the element is the text its canonical form carries.
 """
 
 from __future__ import annotations
@@ -177,9 +180,7 @@ def _emit(el: ET.Element, prefixes: dict, in_scope: frozenset, preserve: bool,
     out.append("<" + names[el.tag])
     out.extend(f' {k}="{ET._escape_attrib_c14n(v)}"' for k, v in attr_list)
     out.append(">")
-    space = attrib.get(_XML_SPACE)
-    if space:
-        preserve = space == "preserve"
+    preserve = keeps_space(el, preserve)
     _emit_text(el.text, preserve, out)
     if declare:
         in_scope = in_scope.union(uri for _, uri in declare)
@@ -205,11 +206,25 @@ def _emit_text(text, preserve: bool, out: list) -> None:
     if not text:
         return
     # checked first: a character XML cannot carry may be one strip() drops
-    _checked(text)
-    # a parser turns CR LF and lone CR into LF; C14N then strips the ends
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not preserve:
-        text = text.strip()
+    text = canonical_text(_checked(text), preserve)
     if text:
         out.append(ET._escape_cdata_c14n(text))
+
+
+def keeps_space(el: ET.Element, inherited: bool = False) -> bool:
+    """Whether the text of el keeps its edge whitespace: an ``xml:space``
+    value other than "" on el decides, else the inherited setting."""
+    space = el.get(_XML_SPACE)
+    return space == "preserve" if space else inherited
+
+
+def canonical_text(text, preserve: bool) -> str:
+    """The character data ``emit_canonical`` writes for text (None reads
+    as ""), before escaping: CR LF and lone CR become LF, as a parser of
+    ET.tostring's output turns them, and unless preserve is set the edge
+    whitespace C14N's strip_text drops is stripped."""
+    if not text:
+        return ""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text if preserve else text.strip()

@@ -12,6 +12,7 @@ import http.client
 import signal
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
@@ -28,15 +29,17 @@ from .errors import (
     UnsupportedWsdl,
 )
 from .host import (
+    AuthHeader,
     Host,
     HostConfig,
-    attach_signature,
-    encrypt_request,
+    auth_header_xml,
+    encrypted_carrier,
+    signed_envelope,
     verify_envelope_signature,
 )
 from .manifest import load_manifest
 from .notes import NotesHandler, load_seed_file, notes_descriptor
-from .registry import Registry, make_user
+from .registry import Registry, make_user, password_proof
 from .security import KeyStore
 from .soap import (
     QName,
@@ -45,6 +48,7 @@ from .soap import (
     SoapFault,
     TypedValue,
     XsdType,
+    make_header_entry,
     parse_envelope,
     serialize_envelope,
 )
@@ -235,9 +239,9 @@ def fetch_descriptor(url: str, timeout: float = 10.0):
     return parse_wsdl(body)
 
 
-def build_call_envelope(descriptor, method: str, params: list) -> bytes:
+def build_call_envelope(descriptor, method: str, params: list) -> SoapEnvelope:
     """Type positional string arguments against the WSDL signature and
-    serialize the request. Unknown methods and extra arguments travel
+    build the request envelope. Unknown methods and extra arguments travel
     as strings so the host gets to issue the fault."""
     try:
         sig = descriptor.method(method)
@@ -257,7 +261,7 @@ def build_call_envelope(descriptor, method: str, params: list) -> bytes:
         id="o0",
         rootAttr="1",
     )
-    return serialize_envelope(SoapEnvelope(body=call, encodingStyle=SOAP_ENCODING))
+    return SoapEnvelope(body=call, encodingStyle=SOAP_ENCODING)
 
 
 def cmd_invoke(args) -> int:
@@ -269,7 +273,7 @@ def cmd_invoke(args) -> int:
         return EXIT_USAGE
     try:
         descriptor = fetch_descriptor(args.url, timeout=args.timeout)
-        payload = build_call_envelope(descriptor, args.method, args.params)
+        env = build_call_envelope(descriptor, args.method, args.params)
     except (MalformedXml, UnsupportedWsdl) as e:
         print(f"error: unusable WSDL: {e}", file=sys.stderr)
         return EXIT_IO
@@ -280,35 +284,25 @@ def cmd_invoke(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.login is not None:
-        from .host import AuthHeader, auth_header_xml
-        from .registry import password_proof
-        from .soap import make_header_entry
-
-        env = parse_envelope(payload)
-        entry = make_header_entry(
-            auth_header_xml(
-                AuthHeader(args.login, password_proof(args.password or ""), args.device)
-            )
-        )
-        payload = serialize_envelope(
-            SoapEnvelope(body=env.body, headerEntries=env.headerEntries + (entry,),
-                         encodingStyle=env.encodingStyle)
-        )
-
     service_cert = None
     if args.cert:
         service_cert = security.parse_certificate_text(Path(args.cert).read_text())
     if args.encrypt:
-        payload = encrypt_request(payload, descriptor.namespaceUri, service_cert)
+        env = encrypted_carrier(serialize_envelope(env), descriptor.namespaceUri, service_cert)
+    # the host reads Auth from the outermost envelope, never from ciphertext
+    if args.login is not None:
+        entry = make_header_entry(auth_header_xml(
+            AuthHeader(args.login, password_proof(args.password or ""), args.device)
+        ))
+        env = replace(env, headerEntries=env.headerEntries + (entry,))
     if args.sign:
         from cryptography.hazmat.primitives import serialization
 
         private_key = serialization.load_pem_private_key(
             Path(args.key).read_bytes(), password=None
         )
-        payload = attach_signature(payload, private_key,
-                                   Path(args.signer_cert).read_text())
+        env = signed_envelope(env, private_key, Path(args.signer_cert).read_text())
+    payload = serialize_envelope(env)
 
     try:
         status, body = http_request(args.url, payload, timeout=args.timeout)

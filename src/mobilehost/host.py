@@ -27,6 +27,9 @@ Wire conventions owned here (see docs/wire-format.md):
   signs a reply's model before serializing it
   (``soap.serialize_body_canonical``) and checks a request's signature
   on the tree the listener parsed, so no envelope is parsed twice;
+* ``Auth`` and ``Signature`` are read from the header entry elements of
+  that tree, each field as the entry's canonical form carries it
+  (``canonical.canonical_text``);
 * ``GET <endpointPath>?wsdl`` returns the stored WSDL and
   ``GET <endpointPath>?cert`` the service certificate text.
 """
@@ -38,13 +41,13 @@ import mimetypes
 import threading
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
 
 from . import security
-from .canonical import emit_canonical, parse_xml, tree_body_canonical
+from .canonical import canonical_text, keeps_space, parse_xml, tree_body_canonical
 from .errors import (
     AccessDenied,
     DuplicateService,
@@ -134,11 +137,20 @@ def auth_header_xml(auth: AuthHeader) -> str:
     )
 
 
-def parse_auth_header(raw_xml: str) -> AuthHeader:
-    el = parse_xml(raw_xml)
-    fields = {}
-    for child in el:
-        fields[child.tag.rsplit("}", 1)[-1]] = child.text or ""
+def _entry_fields(el: ET.Element) -> dict:
+    """Local name -> text of each child of a header entry, the text as
+    the entry's canonical form carries it. A repeated name keeps its
+    last value."""
+    preserve = keeps_space(el)
+    return {
+        child.tag.rsplit("}", 1)[-1]:
+            canonical_text(child.text, keeps_space(child, preserve))
+        for child in el
+    }
+
+
+def parse_auth_header(el: ET.Element) -> AuthHeader:
+    fields = _entry_fields(el)
     try:
         return AuthHeader(
             login=fields["Login"],
@@ -150,28 +162,21 @@ def parse_auth_header(raw_xml: str) -> AuthHeader:
 
 
 def signature_header_entry(sig: SignatureBlock,
-                           signer_cert_text: Optional[str] = None) -> tuple:
-    """The Signature header entry in the (QName, canonical text) form
-    make_header_entry gives, built as elements instead of parsed."""
+                           signer_cert_text: Optional[str] = None) -> ET.Element:
+    """The Signature header entry element, built from the block instead
+    of parsed."""
     el = ET.Element(SIGNATURE_HEADER.clark,
                     {"algorithm": sig.algorithm, "digest": sig.digestAlgorithm})
     ET.SubElement(el, f"{{{HEADERS_NS}}}Value").text = sig.value
     if signer_cert_text:
         ET.SubElement(el, f"{{{HEADERS_NS}}}SignerCert").text = signer_cert_text
-    return (SIGNATURE_HEADER, emit_canonical(el))
+    return el
 
 
-def parse_signature_header(raw_xml: str):
+def parse_signature_header(el: ET.Element):
     """Return (SignatureBlock, signer certificate text or None)."""
-    el = parse_xml(raw_xml)
-    value = None
-    cert_text = None
-    for child in el:
-        local = child.tag.rsplit("}", 1)[-1]
-        if local == "Value":
-            value = child.text or ""
-        elif local == "SignerCert":
-            cert_text = child.text or ""
+    fields = _entry_fields(el)
+    value = fields.get("Value")
     if value is None:
         raise MalformedSignature("Signature header has no Value")
     return (
@@ -180,7 +185,7 @@ def parse_signature_header(raw_xml: str):
             digestAlgorithm=el.get("digest") or security.DIGEST_ALGORITHM,
             value=value,
         ),
-        cert_text,
+        fields.get("SignerCert"),
     )
 
 
@@ -196,18 +201,16 @@ def attach_signature(
     """Re-serialize an envelope with a Signature header covering its
     canonical Body bytes: parse it, then sign the model."""
     return serialize_envelope(
-        _signed(parse_envelope(envelope_xml), private_key, signer_cert_text)
+        signed_envelope(parse_envelope(envelope_xml), private_key, signer_cert_text)
     )
 
 
-def _signed(env: SoapEnvelope, private_key,
-            signer_cert_text: Optional[str] = None) -> SoapEnvelope:
+def signed_envelope(env: SoapEnvelope, private_key,
+                    signer_cert_text: Optional[str] = None) -> SoapEnvelope:
     """env plus a Signature header entry over its canonical Body bytes."""
     sig = security.sign_message(serialize_body_canonical(env), private_key)
-    return SoapEnvelope(
-        body=env.body,
-        headerEntries=env.headerEntries + (signature_header_entry(sig, signer_cert_text),),
-        encodingStyle=env.encodingStyle,
+    return replace(
+        env, headerEntries=env.headerEntries + (signature_header_entry(sig, signer_cert_text),)
     )
 
 
@@ -215,10 +218,10 @@ def verify_envelope_signature(envelope_xml: bytes, cert: security.Certificate):
     """True/False per the embedded signature; None if there is none."""
     try:
         root = parse_xml(envelope_xml)
-        raw = parse_envelope(root).header(SIGNATURE_HEADER)
-        if raw is None:
+        entry = parse_envelope(root).header(SIGNATURE_HEADER)
+        if entry is None:
             return None
-        block, _ = parse_signature_header(raw)
+        block, _ = parse_signature_header(entry)
         return security.verify_signature(
             tree_body_canonical(root), block, cert.public_key()
         )
@@ -230,8 +233,14 @@ def encrypt_request(plain_envelope: bytes, service_namespace: str,
                     cert: security.Certificate) -> bytes:
     """Wrap a serialized request for a secured service: the whole
     envelope becomes the ciphertext of an EncryptedRequest carrier call."""
+    return serialize_envelope(encrypted_carrier(plain_envelope, service_namespace, cert))
+
+
+def encrypted_carrier(plain_envelope: bytes, service_namespace: str,
+                      cert: security.Certificate) -> SoapEnvelope:
+    """The carrier envelope encrypt_request serializes."""
     cipher = security.encrypt_message(plain_envelope, cert.public_key())
-    carrier = SoapEnvelope(
+    return SoapEnvelope(
         body=SoapCall(
             operation=QName(ENCRYPTED_OPERATION, service_namespace),
             params=(
@@ -242,7 +251,6 @@ def encrypt_request(plain_envelope: bytes, service_namespace: str,
         ),
         headerEntries=(make_header_entry(encrypted_marker_xml()),),
     )
-    return serialize_envelope(carrier)
 
 
 # --- the host -----------------------------------------------------------------
@@ -466,11 +474,11 @@ class Host:
         """Credentials are present and readable when the host requires them."""
         if not self.cfg.authRequired:
             return None
-        raw = env.header(AUTH_HEADER)
-        if raw is None:
+        entry = env.header(AUTH_HEADER)
+        if entry is None:
             raise AccessDenied(detail="missing Auth header")
         try:
-            return parse_auth_header(raw)
+            return parse_auth_header(entry)
         except MalformedXml:
             raise AccessDenied(detail="unreadable Auth header") from None
 
@@ -526,12 +534,12 @@ def _parse_call(raw, not_a_call: str) -> tuple:
 
 def _verify_inbound_signature(root, env: SoapEnvelope) -> None:
     """Check the Signature header a sender attached, if there is one."""
-    raw = env.header(SIGNATURE_HEADER)
-    if raw is None:
+    entry = env.header(SIGNATURE_HEADER)
+    if entry is None:
         return
     try:
-        block, cert_text = parse_signature_header(raw)
-    except (MalformedSignature, MalformedXml):
+        block, cert_text = parse_signature_header(entry)
+    except MalformedSignature:
         raise MalformedSignature("unreadable Signature header") from None
     if not cert_text:
         raise MalformedSignature("signature without signer certificate")
@@ -583,7 +591,7 @@ def _respond(desc: ServiceDescriptor, sig: MethodSignature, raw_result: TypedVal
 
 def _xml_response(status: int, env: SoapEnvelope, signing_key=None) -> OutboundResponse:
     if signing_key is not None:
-        env = _signed(env, signing_key)
+        env = signed_envelope(env, signing_key)
     return OutboundResponse(status, XML_CONTENT_TYPE, serialize_envelope(env))
 
 

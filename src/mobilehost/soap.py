@@ -197,33 +197,52 @@ class SoapFault:
 Body = Union[SoapCall, SoapResponseBody, SoapFault]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoapEnvelope:
+    """A SOAP envelope. Header entries are elements, as parse_envelope
+    keeps them from the received tree or make_header_entry builds them;
+    serialize_envelope writes each in canonical form, and envelopes
+    compare their entries in that form. Elements are mutable, so
+    envelopes are not hashable."""
+
     body: Body
-    headerEntries: tuple = field(default_factory=tuple)  # of (QName, canonical xml str)
+    headerEntries: tuple = field(default_factory=tuple)  # of ET.Element
     encodingStyle: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "headerEntries", tuple(self.headerEntries))
 
-    def header(self, qname: QName) -> Optional[str]:
-        for name, raw in self.headerEntries:
-            if name == qname:
-                return raw
+    def __eq__(self, other):
+        if not isinstance(other, SoapEnvelope):
+            return NotImplemented
+        return (self.body, self.encodingStyle, _entry_texts(self)) == (
+            other.body, other.encodingStyle, _entry_texts(other))
+
+    __hash__ = None
+
+    def header(self, qname: QName) -> Optional[ET.Element]:
+        """The first header entry named qname, or None."""
+        tag = qname.clark
+        for el in self.headerEntries:
+            if el.tag == tag:
+                return el
         return None
+
+
+def _entry_texts(env: SoapEnvelope) -> tuple:
+    return tuple(map(emit_canonical, env.headerEntries))
 
 
 # --- parsing ---------------------------------------------------------------
 
 
-def make_header_entry(xml_text: str) -> tuple:
-    """Normalize a header fragment into the (QName, canonical text) form
-    parse_envelope produces, so constructed envelopes round-trip exactly."""
+def make_header_entry(xml_text: str) -> ET.Element:
+    """The header entry element of an XML fragment, as parse_envelope
+    keeps a received one."""
     try:
-        el = parse_xml(xml_text)
+        return parse_xml(xml_text)
     except MalformedXml as e:
         raise MalformedXml(f"bad header fragment: {e}") from None
-    return (QName.from_clark(el.tag), emit_canonical(el))
 
 
 def parse_envelope(raw) -> SoapEnvelope:
@@ -243,9 +262,7 @@ def parse_envelope(raw) -> SoapEnvelope:
     if body_el is None:
         raise MalformedXml("envelope has no Body")
 
-    headers = tuple(
-        (QName.from_clark(h.tag), emit_canonical(h)) for h in (header_el or ())
-    )
+    headers = () if header_el is None else tuple(header_el)
 
     encoding_style = body_el.get(f"{{{SOAP_ENV_NS}}}encodingStyle") or root.get(
         f"{{{SOAP_ENV_NS}}}encodingStyle"
@@ -414,7 +431,7 @@ def _open_body(env: SoapEnvelope, prefix: bytes) -> list:
     out = []
     if env.headerEntries:
         out += (b"<", prefix, b":Header>\n",
-                "\n".join(raw for _, raw in env.headerEntries).encode(),
+                "\n".join(_entry_texts(env)).encode(),
                 b"\n</", prefix, b":Header>\n")
     out += (b"<", prefix, b":Body")
     if env.encodingStyle:

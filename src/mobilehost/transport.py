@@ -34,6 +34,13 @@ DEFAULT_POOL_SIZE = 32
 
 _FRAME_HEADER = struct.Struct(">I")
 
+# HTTP head limits: a request line or header line that fills MAX_LINE
+# bytes without its line end is refused whole (RFC 9112 section 3, RFC
+# 6585 section 5), as is a head with more than MAX_HEADERS fields, the
+# limit http.client keeps
+MAX_LINE = 8192
+MAX_HEADERS = 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -41,6 +48,8 @@ _REASONS = {
     405: "Method Not Allowed",
     411: "Length Required",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     501: "Not Implemented",
 }
@@ -261,9 +270,11 @@ class HttpListener(_SocketListener):
             pass  # peer went away or sent garbage beyond repair
 
     def _read_request(self, rfile, peer: str):
-        request_line = rfile.readline(8192)
+        request_line = rfile.readline(MAX_LINE)
         if not request_line:
             raise PeerGone("empty request")
+        if len(request_line) == MAX_LINE and not request_line.endswith(b"\n"):
+            return (414, "request line too long")
         try:
             method, target, version = request_line.decode("latin-1").strip().split(" ", 2)
         except ValueError:
@@ -272,16 +283,20 @@ class HttpListener(_SocketListener):
             return (400, "unsupported protocol version")
         headers = {}
         lengths = set()
-        while True:
-            line = rfile.readline(8192)
+        for _ in range(MAX_HEADERS + 1):
+            line = rfile.readline(MAX_LINE)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if len(line) == MAX_LINE and not line.endswith(b"\n"):
+                return (431, "header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if sep:
                 name, value = name.strip().lower(), value.strip()
                 headers[name] = value
                 if name == "content-length":
                     lengths.add(value)
+        else:
+            return (431, "too many header fields")
         # RFC 9112 section 6.1: a body framed both ways may be read
         # differently by a proxy, and no transfer coding is implemented
         if "transfer-encoding" in headers:

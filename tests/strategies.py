@@ -146,6 +146,42 @@ def received_documents(draw) -> str:
     return draw(_doc_element(frozenset(), draw(st.booleans()), 0))
 
 
+# --- received header entries for the Auth and Signature readers ---------------
+
+
+@st.composite
+def received_entries(draw, tag: str, fields: tuple):
+    """A parsed ``tag`` entry in the headers namespace, as parse_envelope
+    keeps it: children named from fields (each dropped, repeated or
+    joined by another name at times), nested children, text with edge
+    whitespace and CR (literal, CR LF or a reference), and xml:space
+    "preserve", "default" or "" on the entry, on each child and on the
+    element above the entry."""
+    cr_ref = draw(st.booleans())
+
+    def text() -> str:
+        return _doc_escape(draw(c14n_text), False, cr_ref)
+
+    def space() -> str:
+        value = draw(st.sampled_from((None, "preserve", "default", "")))
+        return "" if value is None else f' xml:space="{value}"'
+
+    names = [n for n in fields if draw(st.integers(0, 7))]  # dropped one time in 8
+    names += draw(st.lists(st.sampled_from(fields + ("Other",)), max_size=2))
+    parts = []
+    for name in draw(st.permutations(names)):
+        inner = text()
+        if not draw(st.integers(0, 3)):
+            inner += f"<Inner{space()}>{text()}</Inner>{text()}"
+        parts.append(f"<{name}{space()}>{inner}</{name}>{text()}")
+    attrs = "".join(
+        f' {a}="{_doc_escape(draw(c14n_text), True, cr_ref)}"'
+        for a in ("algorithm", "digest") if draw(st.booleans()))
+    entry = (f'<{tag} xmlns="urn:mobilehost:headers"{space()}{attrs}>{text()}'
+             + "".join(parts) + f"</{tag}>")
+    return make_header_entry(f"<Header{space()}>{entry}</Header>")[0]
+
+
 @st.composite
 def typed_values(draw, text=xml_text) -> TypedValue:
     xsd_type = draw(st.sampled_from(list(XsdType)))

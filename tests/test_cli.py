@@ -139,6 +139,28 @@ class TestSecureInvoke:
         assert code == 0
         assert captured.out.strip() == NOTES_RESULT
 
+    def test_login_with_encryption_is_allowed(self, tmp_path, capsys):
+        # Auth travels on the carrier, outside the ciphertext, where the
+        # host reads it
+        data_dir = tmp_path / "data"
+        assert main([
+            "users", "add", "aluno1", "--password", "segredo",
+            "--services", "CadastroEscolar", "--data-dir", str(data_dir),
+        ]) == 0
+        capsys.readouterr()
+        with serve(tmp_path, "--demo-notes", "--demo-secure", "--auth-required") as port:
+            cert_file = self.fetch_cert(tmp_path, port)
+            code = main([
+                "invoke", f"http://127.0.0.1:{port}/CadastroEscolar.jws",
+                "obterNotas", "A001", "D002",
+                "--cert", str(cert_file), "--encrypt",
+                "--login", "aluno1", "--password", "segredo",
+            ])
+        captured = capsys.readouterr()
+        assert code == 0, captured
+        assert captured.out.strip() == NOTES_RESULT
+        assert "signature: OK" in captured.err
+
     def test_signed_invoke(self, tmp_path, capsys):
         keys_dir = tmp_path / "consumer-keys"
         assert main(["keygen", "me", "--keys-dir", str(keys_dir)]) == 0

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobilehost import transport
-from mobilehost.canonical import body_canonical, canonicalize, parse_xml
+from mobilehost import security, transport
+from mobilehost.canonical import body_canonical, canonicalize, emit_canonical, parse_xml
 from mobilehost.errors import (
     CorruptSnapshot,
     DuplicateService,
     HandlerError,
+    MalformedSignature,
+    MalformedXml,
     NotFound,
     ValidationError,
 )
@@ -34,6 +36,7 @@ from mobilehost.host import (
     attach_signature,
     auth_header_xml,
     encrypt_request,
+    parse_auth_header,
     parse_signature_header,
     signature_header_entry,
     verify_envelope_signature,
@@ -71,7 +74,7 @@ from mobilehost.transport import (
 )
 
 from conftest import free_port, make_host
-from strategies import auth_entry, c14n_text
+from strategies import auth_entry, c14n_text, received_entries
 
 
 def soap_request(payload: bytes, path: str = "", kind: str = "loopback") -> InboundRequest:
@@ -1027,6 +1030,24 @@ class TestOneParsePerRequest:
             500, "Server", "internal host error")
         assert [e.outcome for e in host.registry.log_entries()] == ["serverFault"]
 
+    def test_authenticated_signed_call_is_parsed_once(self, tmp_path, keypair, xml_calls):
+        # Auth and Signature are read from the elements the listener
+        # parsed; attach_signature parses, so the request is built first
+        host = make_host(tmp_path, secure_demo=True, authRequired=True)
+        host.registry.add_user(make_user("aluno1", "segredo", "dev1", {"CadastroEscolar"}))
+        signer_cert = render_certificate_text(issue_certificate(keypair, "Consumer/"))
+        payload = attach_signature(authed(), keypair.privateKey, signer_cert)
+        host.start()
+        try:
+            xml_calls.clear()
+            resp = host.listener("loopback").request(payload)
+            assert dict(xml_calls) == {"ParserCreate": 1}
+        finally:
+            host.shutdown()
+        assert resp.status == 200
+        cert = host.service_certificate("CadastroEscolar")
+        assert verify_envelope_signature(resp.body, cert) is True
+
 
 def tcp_exchange(port: int, payload: bytes) -> bytes:
     with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
@@ -1046,4 +1067,54 @@ def test_signature_header_entry_equals_parsed_form(value, cert_text, algorithm):
     wire = (f'<Signature xmlns="urn:mobilehost:headers" algorithm="{_attr(algorithm).decode()}"'
             f' digest="SHA-256"><Value>{_text(value).decode()}</Value>{cert_part}</Signature>')
     block = SignatureBlock(algorithm=algorithm, digestAlgorithm="SHA-256", value=value)
-    assert signature_header_entry(block, cert_text) == make_header_entry(wire)
+    assert emit_canonical(signature_header_entry(block, cert_text)) == emit_canonical(
+        make_header_entry(wire))
+
+
+# --- reading Auth and Signature from the received element -------------------------
+#
+# The reference is the reading before entries were kept as elements: the
+# entry's canonical text parsed again, then each child's text. A field
+# read from the element must be the text that canonical form carries.
+
+
+def _outcome(read, el):
+    try:
+        return ("ok", read(el))
+    except Exception as e:
+        return (type(e).__name__, str(e))
+
+
+def _reference_fields(el):
+    el = parse_xml(emit_canonical(el))
+    return el, {child.tag.rsplit("}", 1)[-1]: child.text or "" for child in el}
+
+
+def reference_auth(el) -> AuthHeader:
+    _, fields = _reference_fields(el)
+    try:
+        return AuthHeader(fields["Login"], fields["PasswordProof"], fields["DeviceId"])
+    except KeyError as e:
+        raise MalformedXml(f"Auth header missing {e.args[0]}") from None
+
+
+def reference_signature(el):
+    el, fields = _reference_fields(el)
+    if "Value" not in fields:
+        raise MalformedSignature("Signature header has no Value")
+    return (SignatureBlock(el.get("algorithm") or security.SIGNATURE_ALGORITHM,
+                           el.get("digest") or security.DIGEST_ALGORITHM,
+                           fields["Value"]),
+            fields.get("SignerCert"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(el=received_entries("Auth", ("Login", "PasswordProof", "DeviceId")))
+def test_auth_read_in_place_equals_reparsed_canonical_form(el):
+    assert _outcome(parse_auth_header, el) == _outcome(reference_auth, el)
+
+
+@settings(max_examples=400, deadline=None)
+@given(el=received_entries("Signature", ("Value", "SignerCert")))
+def test_signature_read_in_place_equals_reparsed_canonical_form(el):
+    assert _outcome(parse_signature_header, el) == _outcome(reference_signature, el)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobilehost.canonical import canonicalize
+from mobilehost.canonical import canonicalize, emit_canonical
 from mobilehost.errors import MalformedXml, NotSoap, UnsupportedType
 from mobilehost.soap import (
     QName,
@@ -217,7 +217,8 @@ class TestHeaders:
         call = SoapCall(QName("op", "urn:x"), params=())
         env = SoapEnvelope(body=call, headerEntries=(entry,))
         back = parse_envelope(serialize_envelope(env))
-        assert back.headerEntries == (entry,)
+        # entries are elements: compared in the canonical form they travel in
+        assert [emit_canonical(e) for e in back.headerEntries] == [emit_canonical(entry)]
 
     def test_unknown_headers_survive_unknown_content(self):
         entry = make_header_entry(
@@ -225,7 +226,20 @@ class TestHeaders:
         )
         env = SoapEnvelope(body=SoapCall(QName("op", "urn:x"), params=()),
                            headerEntries=(entry,))
-        assert parse_envelope(serialize_envelope(env)).headerEntries == (entry,)
+        back = parse_envelope(serialize_envelope(env))
+        assert [emit_canonical(e) for e in back.headerEntries] == [emit_canonical(entry)]
+
+    def test_envelopes_compare_entries_in_canonical_form(self):
+        call = SoapCall(QName("op", "urn:x"), params=())
+
+        def env(fragment):
+            return SoapEnvelope(body=call, headerEntries=(make_header_entry(fragment),))
+
+        assert env('<h:X xmlns:h="urn:h"> v </h:X>') == env('<X xmlns="urn:h">v</X>')
+        assert env('<X xmlns="urn:h">v</X>') != env('<X xmlns="urn:h">w</X>')
+        # entries are mutable elements: an envelope has no hash
+        with pytest.raises(TypeError):
+            hash(env('<X xmlns="urn:h">v</X>'))
 
 
 class TestRoundTripProperty:
@@ -352,7 +366,8 @@ class TestBytesSerializer:
         back = parse_envelope(wire)
         assert canonicalize(serialize_envelope(back)) == canonicalize(wire)
         assert parse_envelope(serialize_envelope(back)) == back
-        assert back.headerEntries == env.headerEntries
+        assert ([emit_canonical(e) for e in back.headerEntries]
+                == [emit_canonical(e) for e in env.headerEntries])
         assert back.encodingStyle == env.encodingStyle
         assert type(back.body) is type(env.body)
         if not isinstance(env.body, SoapFault):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from mobilehost.errors import BindFailure, MalformedXml, PeerGone
 from mobilehost.transport import (
+    MAX_HEADERS,
+    MAX_LINE,
     BindingConfig,
     HttpListener,
     LoopbackListener,
@@ -207,6 +209,42 @@ class TestHttpListener:
             raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n"
                                 b"Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n")
             assert raw.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+
+    def test_long_header_line_is_431(self, port):
+        # the line is refused whole: its bytes past the read limit, which
+        # spell a header here, are never read as a further header line
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            pad = b"X-Pad: " + b"a" * (MAX_LINE - 7) + b"Transfer-Encoding: chunked\r\n"
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n" + pad
+                                + b"Content-Length: 2\r\n\r\nok")
+            assert raw.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+            assert raw.endswith(b"header line too long")
+            # one byte less leaves room for the line end
+            pad = b"X-Pad: " + b"a" * (MAX_LINE - 9) + b"\r\n"
+            raw = http_exchange(port, b"POST /x HTTP/1.1\r\nHost: h\r\n" + pad
+                                + b"Content-Length: 2\r\n\r\nok")
+            assert raw.startswith(b"HTTP/1.1 200 ") and raw.endswith(b"echo:ok")
+
+    @pytest.mark.parametrize("fields, status", [
+        (MAX_HEADERS, b"200"), (MAX_HEADERS + 1, b"431"), (150, b"431")])
+    def test_header_field_count_is_limited(self, port, fields, status):
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            head = b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 2\r\n"
+            head += b"".join(b"X-F%d: v\r\n" % i for i in range(fields - 2))
+            raw = http_exchange(port, head + b"\r\nok")
+            assert raw.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status + b" " + (
+                b"OK" if status == b"200" else b"Request Header Fields Too Large")
+
+    def test_long_request_line_is_414(self, port):
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            # a line that fills the read limit and nothing after it: bytes
+            # left unread would turn the close into a reset
+            raw = http_exchange(port, b"GET /" + b"a" * (MAX_LINE - 5))
+            assert raw.startswith(b"HTTP/1.1 414 URI Too Long\r\n")
+            assert raw.endswith(b"request line too long")
 
     def test_garbage_request_line_is_400(self, port):
         cfg = BindingConfig(kind="http", port=port)
