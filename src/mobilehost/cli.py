@@ -8,7 +8,9 @@ error, 3 I/O or network error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import http.client
+import os
 import signal
 import sys
 import time
@@ -192,21 +194,42 @@ def cmd_serve(args) -> int:
             signal.signal(sig, request_stop)
         except ValueError:
             pass  # not the main thread
-    try:
-        host = build_host(args)
-        host.start()
-    except (BindFailure, MobileHostError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    lock = _lock_data_dir(Path(args.data_dir))
+    if lock is None:
         return EXIT_IO
-    for binding in host.cfg.bindings:
-        print(f"listening on {binding.kind}://{binding.address}:{binding.port}")
-    print("ready", flush=True)
     try:
-        while not stopping:
-            time.sleep(0.1)
+        try:
+            host = build_host(args)
+            host.start()
+        except (BindFailure, MobileHostError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_IO
+        for binding in host.cfg.bindings:
+            print(f"listening on {binding.kind}://{binding.address}:{binding.port}")
+        print("ready", flush=True)
+        try:
+            while not stopping:
+                time.sleep(0.1)
+        finally:
+            host.shutdown()
+        return EXIT_OK
     finally:
-        host.shutdown()
-    return EXIT_OK
+        os.close(lock)
+
+
+def _lock_data_dir(data_dir: Path) -> Optional[int]:
+    """Take the data dir's writer lock: an exclusive flock on
+    <data_dir>/lock, held while the returned descriptor stays open.
+    None, with a message on stderr, if another process holds it."""
+    data_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(data_dir / "lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        print(f"error: data dir {data_dir} is in use by a running host", file=sys.stderr)
+        return None
+    return fd
 
 
 # --- invoke ----------------------------------------------------------------
@@ -381,18 +404,22 @@ def cmd_cert_show(args) -> int:
 
 def cmd_users_add(args) -> int:
     data_dir = Path(args.data_dir)
-    registry = Registry.load_snapshot(data_dir)
     services = (
         {"*"}
         if args.services.strip() == "*"
         else {s.strip() for s in args.services.split(",") if s.strip()}
     )
+    lock = _lock_data_dir(data_dir)
+    if lock is None:
+        return EXIT_FAULT
     try:
+        registry = Registry.load_snapshot(data_dir)
         registry.add_user(make_user(args.login, args.password, args.device, services))
     except DuplicateUser as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAULT
-    registry.snapshot(data_dir)
+    finally:
+        os.close(lock)
     print(f"added user {args.login}")
     return EXIT_OK
 

@@ -281,7 +281,9 @@ class Host:
         name = rec.descriptor.serviceName
         if rec.descriptor.exclusiveExecution:
             self._service_locks[name] = threading.Lock()
-        if rec.keySetId and self.keystore.has(rec.keySetId):
+        if rec.keySetId:
+            # IoFailure naming the missing file: serving a secured
+            # service unsigned would be worse than not starting
             self._keys[name] = self.keystore.load(rec.keySetId)
 
     def start(self) -> None:
@@ -302,13 +304,13 @@ class Host:
         self._started = True
 
     def shutdown(self) -> None:
-        """Stop listeners gracefully, then persist the registry."""
+        """Stop listeners gracefully. State needs no saving here: the
+        registry writes each change as it is made."""
         if self._stopped:
             return
         for listener in self._listeners:
             listener.stop()
         self._listeners = []
-        self.registry.snapshot(self.cfg.dataDir)
         self._started = False
         self._stopped = True
 
@@ -330,7 +332,9 @@ class Host:
     def create_service(self, desc: ServiceDescriptor, handler: ServiceHandler) -> ServiceRecord:
         """Register a service: key material iff secured, WSDL generated
         and stored, route live immediately. Re-creating a fingerprint-
-        identical service just re-attaches the handler."""
+        identical service just re-attaches the handler. Keys and WSDL
+        are written before the registry saves the record, so after a
+        crash the saved state never names key material that is missing."""
         name = desc.serviceName
         try:
             existing = self.registry.lookup_service(name)

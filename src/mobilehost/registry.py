@@ -1,12 +1,21 @@
 """Service and user databases plus the bounded request log.
 
-Lookups are concurrent; writes are serialized under one lock, so a
-reader observes the state before or after a registration, never a torn
-record. Snapshots copy the state under the lock and write outside it.
+A registry from ``Registry.load_snapshot(dir)`` is bound to ``dir``:
+adding or removing a service or user first writes the new tables to
+``dir/state.db`` through ``durable.write_file``, then applies them in
+memory, so a write that fails changes nothing and a change that
+returned survives a crash. Mutations serialize on a write lock of their
+own; lookups and the request log take only the table lock, held just
+to read or swap a record, so a request never waits on the disk. The
+request log stays in memory. ``Registry()`` is in memory only, and
+``snapshot(dir)`` writes the same file explicitly.
 
-Snapshot layout: ``services.db`` and ``users.db`` (JSON, human
-readable) plus a ``checksums`` file; a checksum mismatch or truncated
-table refuses to load.
+``state.db``: the first line is the SHA-256 hex digest of the bytes
+after it; the rest is ``{"services": [...], "users": [...]}`` as JSON
+(``indent=1``, sorted keys). A missing or wrong digest line, a
+truncated file or an unreadable field refuses to load
+(``CorruptSnapshot``). A data dir saved before ``state.db`` existed is
+read once through ``_read_old_layout`` and rewritten as ``state.db``.
 """
 
 from __future__ import annotations
@@ -29,12 +38,11 @@ from .errors import (
     NotFound,
     PathConflict,
 )
+from .durable import write_file
 from .service import ServiceDescriptor, descriptor_from_dict, descriptor_to_dict
 from .wsdl import WsdlDocument
 
-SERVICES_FILE = "services.db"
-USERS_FILE = "users.db"
-CHECKSUM_FILE = "checksums"
+STATE_FILE = "state.db"
 DEFAULT_LOG_CAPACITY = 1024
 
 OUTCOMES = ("ok", "clientFault", "serverFault", "denied")
@@ -103,6 +111,8 @@ def make_user(login: str, password: str, device_id: str, allowed_services) -> Us
 class Registry:
     def __init__(self, log_capacity: int = DEFAULT_LOG_CAPACITY):
         self._lock = threading.RLock()
+        self._write_lock = threading.Lock()
+        self._directory: Optional[Path] = None
         self._by_name: dict = {}
         self._by_path: dict = {}
         self._users: dict = {}
@@ -110,16 +120,21 @@ class Registry:
 
     # --- services ---------------------------------------------------------
 
+    # Only methods holding _write_lock change the tables, so they read
+    # them without _lock and take it just to apply the change.
+
     def register_service(self, rec: ServiceRecord) -> None:
-        with self._lock:
-            name = rec.descriptor.serviceName
-            path = rec.descriptor.endpointPath
+        name = rec.descriptor.serviceName
+        path = rec.descriptor.endpointPath
+        with self._write_lock:
             if name in self._by_name:
                 raise DuplicateService(f"service already registered: {name}")
             if path in self._by_path:
                 raise PathConflict(f"endpoint path already in use: {path}")
-            self._by_name[name] = rec
-            self._by_path[path] = rec
+            self._save([*self._by_name.values(), rec], self._users.values())
+            with self._lock:
+                self._by_name[name] = rec
+                self._by_path[path] = rec
 
     def lookup_service(self, name: str) -> ServiceRecord:
         with self._lock:
@@ -136,11 +151,15 @@ class Registry:
                 raise NotFound(f"unknown service path: {path}") from None
 
     def remove_service(self, name: str) -> None:
-        with self._lock:
-            rec = self._by_name.pop(name, None)
+        with self._write_lock:
+            rec = self._by_name.get(name)
             if rec is None:
                 raise NotFound(f"unknown service: {name}")
-            self._by_path.pop(rec.descriptor.endpointPath, None)
+            self._save([r for r in self._by_name.values() if r is not rec],
+                       self._users.values())
+            with self._lock:
+                del self._by_name[name]
+                del self._by_path[rec.descriptor.endpointPath]
 
     def list_services(self) -> list:
         with self._lock:
@@ -149,10 +168,12 @@ class Registry:
     # --- users --------------------------------------------------------------
 
     def add_user(self, user: UserRecord) -> None:
-        with self._lock:
+        with self._write_lock:
             if user.login in self._users:
                 raise DuplicateUser(f"user already exists: {user.login}")
-            self._users[user.login] = user
+            self._save(self._by_name.values(), [*self._users.values(), user])
+            with self._lock:
+                self._users[user.login] = user
 
     def get_user(self, login: str) -> Optional[UserRecord]:
         with self._lock:
@@ -207,69 +228,45 @@ class Registry:
 
     # --- persistence ------------------------------------------------------------
 
+    def _save(self, services, users) -> None:
+        """Write the tables a mutation is about to apply, if bound to a
+        data dir. The caller holds the write lock."""
+        if self._directory is not None:
+            write_file(self._directory / STATE_FILE, _state_bytes(services, users))
+
     def snapshot(self, directory) -> None:
-        directory = Path(directory)
-        with self._lock:
-            services = list(self._by_name.values())
-            users = list(self._users.values())
-        services_blob = json.dumps(
-            {
-                "services": [
-                    {
-                        "descriptor": descriptor_to_dict(r.descriptor),
-                        "wsdl": r.wsdl.xmlText.decode("utf-8"),
-                        "keySetId": r.keySetId,
-                        "createdAt": r.createdAt,
-                    }
-                    for r in sorted(services, key=lambda r: r.descriptor.serviceName)
-                ]
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        users_blob = json.dumps(
-            {
-                "users": [
-                    {
-                        "login": u.login,
-                        "salt": u.salt.hex(),
-                        "passwordDigest": u.passwordDigest.hex(),
-                        "deviceId": u.deviceId,
-                        "allowedServices": sorted(u.allowedServices),
-                    }
-                    for u in sorted(users, key=lambda u: u.login)
-                ]
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            _write_atomic(directory / SERVICES_FILE, services_blob)
-            _write_atomic(directory / USERS_FILE, users_blob)
-            checks = "".join(
-                f"{hashlib.sha256(blob.encode('utf-8')).hexdigest()}  {name}\n"
-                for name, blob in ((SERVICES_FILE, services_blob), (USERS_FILE, users_blob))
-            )
-            _write_atomic(directory / CHECKSUM_FILE, checks)
-        except OSError as e:
-            raise IoFailure(f"cannot write snapshot in {directory}: {e}") from None
+        """Write the tables to ``directory/state.db``."""
+        with self._write_lock:
+            write_file(Path(directory) / STATE_FILE,
+                       _state_bytes(self._by_name.values(), self._users.values()))
 
     @classmethod
     def load_snapshot(cls, directory, log_capacity: int = DEFAULT_LOG_CAPACITY) -> "Registry":
+        """The registry saved in ``directory``, bound to it: every later
+        mutation is written there before it applies. Empty if the
+        directory holds no state."""
         directory = Path(directory)
-        reg = cls(log_capacity=log_capacity)
-        services_path = directory / SERVICES_FILE
-        users_path = directory / USERS_FILE
-        if not services_path.exists() and not users_path.exists():
-            return reg
-
-        checks = _load_checksums(directory / CHECKSUM_FILE)
-        services_blob = _read_checked(services_path, checks)
-        users_blob = _read_checked(users_path, checks)
-
+        state = directory / STATE_FILE
+        old_files = ()
         try:
-            for item in json.loads(services_blob)["services"]:
+            blob = state.read_bytes()
+        except FileNotFoundError:
+            blob, old_files = _read_old_layout(directory) or (None, ())
+        except OSError as e:
+            raise IoFailure(f"cannot read {state}: {e}") from None
+        reg = cls(log_capacity=log_capacity)
+        if blob is not None:
+            reg._fill(_decode_state(blob))
+        if old_files:
+            write_file(state, blob)
+            for path in old_files:
+                path.unlink(missing_ok=True)
+        reg._directory = directory
+        return reg
+
+    def _fill(self, tables: dict) -> None:
+        try:
+            for item in tables["services"]:
                 desc = descriptor_from_dict(item["descriptor"])
                 rec = ServiceRecord(
                     descriptor=desc,
@@ -279,9 +276,9 @@ class Registry:
                     keySetId=item["keySetId"],
                     createdAt=item["createdAt"],
                 )
-                reg.register_service(rec)
-            for item in json.loads(users_blob)["users"]:
-                reg.add_user(
+                self.register_service(rec)
+            for item in tables["users"]:
+                self.add_user(
                     UserRecord(
                         login=item["login"],
                         salt=bytes.fromhex(item["salt"]),
@@ -292,38 +289,75 @@ class Registry:
                 )
         except (KeyError, ValueError, TypeError) as e:
             raise CorruptSnapshot(f"snapshot tables are unreadable: {e}") from None
-        return reg
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    tmp.replace(path)
+def _state_bytes(services, users) -> bytes:
+    return _encode({
+        "services": [
+            {
+                "descriptor": descriptor_to_dict(r.descriptor),
+                "wsdl": r.wsdl.xmlText.decode("utf-8"),
+                "keySetId": r.keySetId,
+                "createdAt": r.createdAt,
+            }
+            for r in sorted(services, key=lambda r: r.descriptor.serviceName)
+        ],
+        "users": [
+            {
+                "login": u.login,
+                "salt": u.salt.hex(),
+                "passwordDigest": u.passwordDigest.hex(),
+                "deviceId": u.deviceId,
+                "allowedServices": sorted(u.allowedServices),
+            }
+            for u in sorted(users, key=lambda u: u.login)
+        ],
+    })
 
 
-def _load_checksums(path: Path) -> dict:
-    if not path.exists():
-        raise CorruptSnapshot("snapshot has tables but no checksums file")
-    checks = {}
+def _encode(tables: dict) -> bytes:
+    body = json.dumps(tables, indent=1, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
+
+
+def _decode_state(blob: bytes) -> dict:
+    digest, _, body = blob.partition(b"\n")
+    if digest != hashlib.sha256(body).hexdigest().encode("ascii"):
+        raise CorruptSnapshot(f"{STATE_FILE}: digest line does not match the tables")
     try:
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
+        return json.loads(body)
+    except ValueError as e:
+        raise CorruptSnapshot(f"{STATE_FILE}: {e}") from None
+
+
+def _read_old_layout(directory: Path):
+    """(state.db bytes, the files they came from) for a data dir saved
+    in the layout before ``state.db``, or None if it has none.
+
+    That layout is two JSON tables, ``services.db`` and ``users.db``,
+    plus ``checksums`` with one ``<sha256 hex>  <file name>`` line each.
+    """
+    tables = (directory / "services.db", directory / "users.db")
+    checksums = directory / "checksums"
+    if not any(path.exists() for path in tables):
+        return None
+    try:
+        if not checksums.exists():
+            raise CorruptSnapshot("snapshot has tables but no checksums file")
+        checks = {}
+        for line in checksums.read_text(encoding="utf-8").splitlines():
             digest, _, name = line.partition("  ")
             checks[name] = digest
+        merged = {}
+        for path in tables:
+            if not path.exists():
+                raise CorruptSnapshot(f"missing snapshot table: {path.name}")
+            blob = path.read_bytes()
+            if checks.get(path.name) != hashlib.sha256(blob).hexdigest():
+                raise CorruptSnapshot(f"checksum mismatch for {path.name}")
+            merged.update(json.loads(blob))
     except OSError as e:
-        raise IoFailure(str(e)) from None
-    return checks
-
-
-def _read_checked(path: Path, checks: dict) -> str:
-    if not path.exists():
-        raise CorruptSnapshot(f"missing snapshot table: {path.name}")
-    try:
-        blob = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise CorruptSnapshot(f"cannot read {path.name}: {e}") from None
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    if checks.get(path.name) != digest:
-        raise CorruptSnapshot(f"checksum mismatch for {path.name}")
-    return blob
+        raise IoFailure(f"cannot read snapshot in {directory}: {e}") from None
+    except (ValueError, TypeError) as e:
+        raise CorruptSnapshot(f"snapshot tables are unreadable: {e}") from None
+    return _encode(merged), (*tables, checksums)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import os
-import stat
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -24,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.exceptions import InvalidSignature
 
+from .durable import write_file
 from .errors import DecryptFailure, IoFailure, MalformedSignature
 
 SIGNATURE_ALGORITHM = "RSA-SHA256"
@@ -335,19 +335,13 @@ class KeyStore:
         return self._key_path(name).exists() and self._cert_path(name).exists()
 
     def save(self, name: str, kp: KeyPair, cert: Certificate) -> None:
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            pem = kp.privateKey.private_bytes(
-                serialization.Encoding.PEM,
-                serialization.PrivateFormat.PKCS8,
-                serialization.NoEncryption(),
-            )
-            key_path = self._key_path(name)
-            key_path.write_bytes(pem)
-            os.chmod(key_path, stat.S_IRUSR | stat.S_IWUSR)
-            self._cert_path(name).write_text(render_certificate_text(cert))
-        except OSError as e:
-            raise IoFailure(f"cannot write key material for {name}: {e}") from None
+        pem = kp.privateKey.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+        write_file(self._key_path(name), pem, mode=0o600)
+        write_file(self._cert_path(name), render_certificate_text(cert).encode("utf-8"))
 
     def load(self, name: str) -> tuple:
         try:

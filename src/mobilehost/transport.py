@@ -21,6 +21,7 @@ import concurrent.futures
 import socket
 import struct
 import threading
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
@@ -40,6 +41,13 @@ _FRAME_HEADER = struct.Struct(">I")
 # limit http.client keeps
 MAX_LINE = 8192
 MAX_HEADERS = 100
+
+# After a refusal the unread rest of the request is read and dropped, up
+# to a head's worth of bytes and for at most a second: closing with
+# bytes unread makes the kernel send a reset, which can destroy the
+# refusal before the client reads it (RFC 9112 section 9.6)
+_DRAIN_BYTES = MAX_LINE * (MAX_HEADERS + 2)
+_DRAIN_SECONDS = 1.0
 
 _REASONS = {
     200: "OK",
@@ -254,6 +262,7 @@ class HttpListener(_SocketListener):
                     status, message = status_only
                     _http_write(conn, status, "text/plain; charset=utf-8",
                                 message.encode("utf-8"))
+                    _drain(conn)
                     return
                 req = status_only
                 req._channel = conn
@@ -337,6 +346,23 @@ class HttpListener(_SocketListener):
             method=method,
             parsed=parsed,
         )
+
+
+def _drain(conn: socket.socket) -> None:
+    """Half-close, then discard what the peer still sends until it
+    closes or a drain limit is reached."""
+    conn.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + _DRAIN_SECONDS
+    left = _DRAIN_BYTES
+    while left > 0:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return
+        conn.settimeout(remaining)
+        chunk = conn.recv(min(left, 65536))
+        if not chunk:
+            return
+        left -= len(chunk)
 
 
 class RawTcpListener(_SocketListener):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import parse_xml
-from .errors import IoFailure, UnsupportedWsdl
+from .durable import write_file
+from .errors import UnsupportedWsdl
 from .service import MethodSignature, ParameterSpec, ServiceDescriptor
 from .soap import XsdType, _attr
 
@@ -201,9 +202,5 @@ def _url_path(url: str) -> str:
 def store_wsdl(doc: WsdlDocument, directory) -> Path:
     """Write the document to <dir>/<serviceName>.wsdl and return the path."""
     target = Path(directory) / f"{doc.descriptor.serviceName}.wsdl"
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(doc.xmlText)
-    except OSError as e:
-        raise IoFailure(f"cannot write {target}: {e}") from None
+    write_file(target, doc.xmlText)
     return target

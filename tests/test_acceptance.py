@@ -373,8 +373,10 @@ def test_8_persistence(tmp_path):
     users_before = {u.login: u for u in host.registry.list_users()}
     host.shutdown()
 
-    for name in ("services.db", "users.db", "checksums"):
-        assert b"hunter2-sentinel" not in (tmp_path / "data" / name).read_bytes()
+    files = [p for p in (tmp_path / "data").rglob("*") if p.is_file()]
+    assert tmp_path / "data" / "state.db" in files
+    for path in files:
+        assert b"hunter2-sentinel" not in path.read_bytes(), path
 
     revived = make_host(tmp_path, with_demo=False)
     after = {rec.descriptor.serviceName: rec for rec in revived.registry.list_services()}

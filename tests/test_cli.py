@@ -286,7 +286,7 @@ class TestServe:
                     proc.kill()
                     proc.wait()
             assert code == 0, f"run {run}: exit code {code}"
-            assert (data / "checksums").is_file(), f"run {run}: no snapshot written"
+            assert (data / "state.db").is_file(), f"run {run}: no snapshot written"
 
     def test_tcp_binding_served(self, tmp_path, fig13_bytes, fig14_bytes):
         from mobilehost.canonical import canonicalize
@@ -384,6 +384,47 @@ class TestKeyAndUserCommands:
         args = ["users", "add", "a", "--password", "p", "--data-dir", str(data_dir)]
         assert main(args) == 0
         assert main(args) == 1
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "mobilehost", *args],
+                          capture_output=True, text=True, timeout=10)
+
+
+class TestOneWriterPerDataDir:
+    def test_users_add_refused_while_serve_runs(self, tmp_path):
+        data = tmp_path / "data"
+        add = ["users", "add", "late", "--password", "pw", "--data-dir", str(data)]
+        with serve(tmp_path, "--demo-notes"):
+            state = (data / "state.db").read_bytes()
+            busy = run_cli(*add)
+            assert busy.returncode == 1
+            assert f"data dir {data} is in use by a running host" in busy.stderr
+            assert (data / "state.db").read_bytes() == state
+        done = run_cli(*add)
+        assert done.returncode == 0, done.stderr
+        with serve(tmp_path, "--demo-notes", "--auth-required") as port:
+            code = main([
+                "invoke", f"http://127.0.0.1:{port}/CadastroEscolar.jws",
+                "obterNotas", "A001", "D002", "--login", "late", "--password", "pw",
+            ])
+        assert code == 0
+
+    def test_second_serve_on_same_dir_exits_3(self, tmp_path):
+        with serve(tmp_path, "--demo-notes"):
+            second = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
+                             "--data-dir", str(tmp_path / "data"))
+        assert second.returncode == 3
+        assert "is in use by a running host" in second.stderr
+
+    def test_secured_service_with_missing_keys_exits_3(self, tmp_path):
+        with serve(tmp_path, "--demo-notes", "--demo-secure"):
+            pass
+        (tmp_path / "data" / "keys" / "CadastroEscolar.key").unlink()
+        proc = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
+                       "--data-dir", str(tmp_path / "data"), "--demo-notes", "--demo-secure")
+        assert proc.returncode == 3
+        assert "CadastroEscolar.key" in proc.stderr
 
 
 class TestUsageErrors:

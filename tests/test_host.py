@@ -23,6 +23,7 @@ from mobilehost.errors import (
     CorruptSnapshot,
     DuplicateService,
     HandlerError,
+    IoFailure,
     MalformedSignature,
     MalformedXml,
     NotFound,
@@ -454,10 +455,63 @@ class TestLifecycle:
     def test_corrupt_snapshot_refuses_to_start(self, tmp_path):
         host = make_host(tmp_path)
         host.shutdown()
-        services = tmp_path / "data" / "services.db"
-        services.write_text(services.read_text()[:25])
+        state = tmp_path / "data" / "state.db"
+        state.write_text(state.read_text()[:25])
         with pytest.raises(CorruptSnapshot):
             make_host(tmp_path, with_demo=False)
+
+    @pytest.mark.parametrize("missing, named", [
+        ("keys", "keys/CadastroEscolar.key"),
+        ("keys/CadastroEscolar.key", "keys/CadastroEscolar.key"),
+        ("keys/CadastroEscolar.cert", "keys/CadastroEscolar.cert"),
+    ])
+    def test_secured_service_with_missing_keys_refuses_to_start(self, tmp_path,
+                                                                missing, named):
+        host = make_host(tmp_path, secure_demo=True)
+        host.shutdown()
+        gone = tmp_path / "data" / missing
+        if gone.is_dir():
+            shutil.rmtree(gone)
+        else:
+            gone.unlink()
+        with pytest.raises(IoFailure, match=named):
+            make_host(tmp_path, with_demo=False)
+
+    def test_state_saved_without_shutdown(self, tmp_path):
+        host = make_host(tmp_path, secure_demo=True)
+        host.registry.add_user(make_user("u", "pw", "d", {"*"}))
+        # no shutdown: the process could have been killed here
+        revived = make_host(tmp_path, with_demo=False)
+        assert revived.registry.lookup_service("CadastroEscolar").keySetId == "CadastroEscolar"
+        assert revived.registry.check_access("u", "pw", "CadastroEscolar")
+        assert "CadastroEscolar" in revived._keys
+
+    def test_shutdown_writes_nothing(self, tmp_path, monkeypatch):
+        host = make_host(tmp_path)
+        host.start()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("shutdown wrote to the data dir")
+
+        monkeypatch.setattr("os.replace", refuse)
+        monkeypatch.setattr("os.open", refuse)
+        host.shutdown()
+
+    def test_requests_do_no_file_io(self, tmp_path, monkeypatch, fig13_bytes):
+        plain = make_host(tmp_path / "plain")
+        secured = make_host(tmp_path / "secured", secure_demo=True)
+
+        def refuse(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("os.replace", refuse)
+        monkeypatch.setattr("os.fsync", refuse)
+        assert plain.handle_request(soap_request(fig13_bytes)).status == 200
+        resp = secured.handle_request(soap_request(fig13_bytes))
+        assert resp.status == 200
+        cert = secured.service_certificate("CadastroEscolar")
+        assert verify_envelope_signature(resp.body, cert) is True
+        assert [e.outcome for e in secured.registry.log_entries()] == ["ok"]
 
     def test_double_shutdown_is_idempotent(self, tmp_path):
         host = make_host(tmp_path)

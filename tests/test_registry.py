@@ -1,5 +1,8 @@
 """Service/user tables, access checks, the request log, persistence."""
 
+import dataclasses
+import hashlib
+import json
 import threading
 import time
 
@@ -9,6 +12,7 @@ from mobilehost.errors import (
     CorruptSnapshot,
     DuplicateService,
     DuplicateUser,
+    IoFailure,
     NotFound,
     PathConflict,
 )
@@ -248,16 +252,45 @@ class TestPersistence:
         reg = Registry()
         self.fill(reg)
         reg.snapshot(tmp_path)
-        services = tmp_path / "services.db"
-        services.write_bytes(services.read_bytes()[:40])
-        with pytest.raises(CorruptSnapshot):
-            Registry.load_snapshot(tmp_path)
+        state = tmp_path / "state.db"
+        blob = state.read_bytes()
+        for cut in (40, len(blob) // 2, len(blob) - 1):
+            state.write_bytes(blob[:cut])
+            with pytest.raises(CorruptSnapshot):
+                Registry.load_snapshot(tmp_path)
 
-    def test_missing_checksums_is_corrupt(self, tmp_path):
+    def test_missing_or_wrong_digest_line_is_corrupt(self, tmp_path):
         reg = Registry()
         self.fill(reg)
         reg.snapshot(tmp_path)
-        (tmp_path / "checksums").unlink()
+        state = tmp_path / "state.db"
+        digest, _, body = state.read_bytes().partition(b"\n")
+        wrong = hashlib.sha256(body + b" ").hexdigest().encode()
+        for blob in (body, b"\n" + body, wrong + b"\n" + body):
+            state.write_bytes(blob)
+            with pytest.raises(CorruptSnapshot):
+                Registry.load_snapshot(tmp_path)
+
+    def test_digest_covers_the_tables(self, tmp_path):
+        reg = Registry()
+        self.fill(reg)
+        reg.snapshot(tmp_path)
+        digest, _, body = (tmp_path / "state.db").read_bytes().partition(b"\n")
+        assert digest == hashlib.sha256(body).hexdigest().encode()
+        tables = json.loads(body)
+        assert sorted(tables) == ["services", "users"]
+        assert [s["descriptor"]["serviceName"] for s in tables["services"]] == [
+            "Alpha", "Beta", "CadastroEscolar"]
+
+    def test_unreadable_field_is_corrupt(self, tmp_path):
+        reg = Registry()
+        self.fill(reg)
+        reg.snapshot(tmp_path)
+        state = tmp_path / "state.db"
+        tables = json.loads(state.read_bytes().partition(b"\n")[2])
+        tables["users"][0]["salt"] = "not hex"
+        body = json.dumps(tables).encode()
+        state.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
         with pytest.raises(CorruptSnapshot):
             Registry.load_snapshot(tmp_path)
 
@@ -265,8 +298,10 @@ class TestPersistence:
         reg = Registry()
         self.fill(reg)
         reg.snapshot(tmp_path)
-        for name in ("services.db", "users.db", "checksums"):
-            assert b"hunter2-sentinel" not in (tmp_path / name).read_bytes()
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert [p.name for p in files] == ["state.db"]
+        for path in files:
+            assert b"hunter2-sentinel" not in path.read_bytes()
 
     def test_access_still_works_after_reload(self, tmp_path):
         reg = Registry()
@@ -275,3 +310,103 @@ class TestPersistence:
         loaded = Registry.load_snapshot(tmp_path)
         assert loaded.check_access("aluno1", "hunter2-sentinel", "CadastroEscolar")
         assert not loaded.check_access("aluno1", "wrong", "CadastroEscolar")
+
+
+def write_old_layout(reg: Registry, directory) -> None:
+    """Save reg the way the registry did before state.db: services.db and
+    users.db as JSON tables, plus a sha256sum-style checksums file."""
+    directory.mkdir(parents=True, exist_ok=True)
+    reg.snapshot(directory)
+    state = directory / "state.db"
+    tables = json.loads(state.read_bytes().partition(b"\n")[2])
+    state.unlink()
+    checks = ""
+    for name, key in (("services.db", "services"), ("users.db", "users")):
+        blob = json.dumps({key: tables[key]}, indent=1, sort_keys=True)
+        (directory / name).write_text(blob, encoding="utf-8")
+        checks += f"{hashlib.sha256(blob.encode('utf-8')).hexdigest()}  {name}\n"
+    (directory / "checksums").write_text(checks)
+
+
+class TestBoundRegistry:
+    """A registry loaded from a data dir saves every change there."""
+
+    fill = TestPersistence.fill
+    assert_equal_state = TestPersistence.assert_equal_state
+
+    def test_each_change_is_saved_before_it_returns(self, tmp_path):
+        reg = Registry.load_snapshot(tmp_path)
+        self.fill(reg)
+        self.assert_equal_state(reg, Registry.load_snapshot(tmp_path))
+        reg.remove_service("Alpha")
+        self.assert_equal_state(reg, Registry.load_snapshot(tmp_path))
+        reg.add_user(make_user("late", "pw", "dev", {"Beta"}))
+        loaded = Registry.load_snapshot(tmp_path)
+        self.assert_equal_state(reg, loaded)
+        assert loaded.check_access("late", "pw", "Beta")
+
+    def test_in_memory_registry_writes_nothing(self, tmp_path):
+        reg = Registry()
+        self.fill(reg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_registry_unchanged(self, tmp_path, monkeypatch):
+        reg = Registry.load_snapshot(tmp_path)
+        self.fill(reg)
+        saved = (tmp_path / "state.db").read_bytes()
+        before = Registry()
+        self.fill(before)
+
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.replace", refuse)
+        rec = notes_record()
+        desc = dataclasses.replace(rec.descriptor, serviceName="Gamma",
+                                   endpointPath="/Gamma.jws")
+        with pytest.raises(IoFailure):
+            reg.register_service(dataclasses.replace(rec, descriptor=desc))
+        with pytest.raises(IoFailure):
+            reg.remove_service("Alpha")
+        with pytest.raises(IoFailure):
+            reg.add_user(make_user("late", "pw", "dev", {"*"}))
+        monkeypatch.undo()
+
+        assert sorted(r.descriptor.serviceName for r in reg.list_services()) == [
+            "Alpha", "Beta", "CadastroEscolar"]
+        assert reg.lookup_by_path("/Alpha.jws").descriptor.serviceName == "Alpha"
+        with pytest.raises(NotFound):
+            reg.lookup_by_path("/Gamma.jws")
+        assert reg.get_user("late") is None
+        assert (tmp_path / "state.db").read_bytes() == saved
+        # and the registry still takes the changes once writes work again
+        reg.remove_service("Alpha")
+        assert "Alpha" not in {r.descriptor.serviceName
+                               for r in Registry.load_snapshot(tmp_path).list_services()}
+
+    def test_old_layout_is_read_once_and_replaced(self, tmp_path):
+        reg = Registry()
+        self.fill(reg)
+        write_old_layout(reg, tmp_path)
+        loaded = Registry.load_snapshot(tmp_path)
+        self.assert_equal_state(reg, loaded)
+        assert [p.name for p in tmp_path.iterdir()] == ["state.db"]
+        self.assert_equal_state(reg, Registry.load_snapshot(tmp_path))
+        loaded.add_user(make_user("late", "pw", "dev", {"*"}))
+        assert Registry.load_snapshot(tmp_path).get_user("late") is not None
+
+    @pytest.mark.parametrize("damage", ["truncate", "no checksums", "no users table"])
+    def test_corrupt_old_layout_is_refused_and_kept(self, tmp_path, damage):
+        reg = Registry()
+        self.fill(reg)
+        write_old_layout(reg, tmp_path)
+        if damage == "truncate":
+            services = tmp_path / "services.db"
+            services.write_bytes(services.read_bytes()[:40])
+        else:
+            (tmp_path / {"no checksums": "checksums",
+                         "no users table": "users.db"}[damage]).unlink()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(CorruptSnapshot):
+            Registry.load_snapshot(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -246,6 +246,28 @@ class TestHttpListener:
             assert raw.startswith(b"HTTP/1.1 414 URI Too Long\r\n")
             assert raw.endswith(b"request line too long")
 
+    @pytest.mark.parametrize("head, status, message", [
+        (b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\nHost: h\r\n\r\n",
+         b"414 URI Too Long", b"request line too long"),
+        (b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * 20_000 + b"\r\n",
+         b"431 Request Header Fields Too Large", b"too many header fields"),
+    ], ids=["414", "431"])
+    def test_refusal_with_head_unread_ends_in_eof_not_reset(self, port, head, status,
+                                                            message):
+        # the listener stops reading at the limit; closing with the rest
+        # of the head unread would send a reset instead of the answer
+        cfg = BindingConfig(kind="http", port=port)
+        with HttpListener(cfg, echo_dispatcher):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+                s.sendall(head)
+                # no shutdown here: the host half-closes first
+                chunks = []
+                while chunk := s.recv(65536):
+                    chunks.append(chunk)
+            raw = b"".join(chunks)
+            assert raw.startswith(b"HTTP/1.1 " + status + b"\r\n")
+            assert raw.endswith(message)
+
     def test_garbage_request_line_is_400(self, port):
         cfg = BindingConfig(kind="http", port=port)
         with HttpListener(cfg, echo_dispatcher):
