@@ -42,6 +42,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
@@ -93,6 +94,8 @@ ENCRYPTED_HEADER = QName("Encrypted", HEADERS_NS)
 ENCRYPTED_OPERATION = "EncryptedRequest"
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
+
+_RENEW_MARGIN = timedelta(days=security.DEFAULT_VALIDITY_DAYS / 2)
 
 
 @dataclass(frozen=True)
@@ -284,7 +287,17 @@ class Host:
         if rec.keySetId:
             # IoFailure naming the missing file: serving a secured
             # service unsigned would be worse than not starting
-            self._keys[name] = self.keystore.load(rec.keySetId)
+            self._keys[name] = self._load_keys(rec.keySetId)
+
+    def _load_keys(self, key_set_id: str) -> tuple:
+        """(KeyPair, Certificate) of a service. A certificate within
+        _RENEW_MARGIN of its end is replaced on disk by one with the same
+        key pair and subject, a new serial and the default validity."""
+        kp, cert = self.keystore.load(key_set_id)
+        if cert.notAfter - datetime.now(timezone.utc) < _RENEW_MARGIN:
+            cert = security.issue_certificate(kp, subjectDN=cert.subjectDN)
+            self.keystore.save(key_set_id, kp, cert)
+        return kp, cert
 
     def start(self) -> None:
         if self._started:
@@ -352,7 +365,7 @@ class Host:
         if desc.securityEnabled:
             key_set_id = name
             if self.keystore.has(name):
-                self._keys[name] = self.keystore.load(name)
+                self._keys[name] = self._load_keys(name)
             else:
                 kp = security.generate_keypair()
                 cert = security.issue_certificate(kp, subjectDN=f"{name}/")

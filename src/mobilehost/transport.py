@@ -11,6 +11,12 @@ back whatever OutboundResponse the dispatcher returns.
   without an addressing layer.
 * ``loopback``: in-memory, for tests and embedding.
 
+The ``http`` and ``rawTcp`` listeners share one connection handler and
+differ only in their reader. A request the reader refuses (a bad HTTP
+head, an oversized frame) is answered, then the unread rest is drained,
+so the peer sees a FIN and not a reset. A dispatcher that raises is
+answered ``internal error``.
+
 Stopping a listener is graceful: new connections are refused, requests
 already accepted still get their response.
 """
@@ -188,28 +194,56 @@ def read_frame(sock_file) -> bytes:
 
 # --- listeners ---------------------------------------------------------------
 
+_INTERNAL_ERROR = OutboundResponse(500, "text/plain; charset=utf-8", b"internal error")
 
-class _SocketListener:
-    """Shared accept-loop / worker-pool plumbing for socket transports."""
 
-    kind = ""
+class _Refused(Exception):
+    """Raised with (status, text) for a request the listener answers
+    itself, without the dispatcher."""
+
+
+class _Listener:
+    """What every binding has: a dispatcher, a bounded worker pool and a
+    graceful stop."""
 
     def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
                  pool_size: int = DEFAULT_POOL_SIZE):
         self.cfg = cfg
         self.dispatcher = dispatcher
+        self.port = cfg.port
+        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_size)
+        self._stopping = threading.Event()
+
+    def stop(self) -> None:
+        """Refuse new work, then let the work already accepted finish."""
+        self._stopping.set()
+        self._pool.shutdown(wait=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stop()
+
+
+class _SocketListener(_Listener):
+    """Accept loop and connection handler of the socket transports. A
+    protocol supplies only ``_read_request(rfile, peer)``, which returns
+    an InboundRequest or raises _Refused or PeerGone."""
+
+    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
+                 pool_size: int = DEFAULT_POOL_SIZE):
         try:
             self._sock = socket.create_server(
                 (cfg.address, cfg.port), backlog=128
             )
         except OSError as e:
             raise BindFailure(f"cannot bind {cfg.address}:{cfg.port}: {e}") from None
+        super().__init__(cfg, dispatcher, pool_size)
         self.port = self._sock.getsockname()[1]
         # closing a listening socket does not interrupt accept() everywhere,
         # so the acceptor polls and re-checks the stop flag
         self._sock.settimeout(0.1)
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_size)
-        self._stopping = threading.Event()
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
         self._acceptor.start()
 
@@ -221,75 +255,59 @@ class _SocketListener:
                 continue
             except OSError:
                 break  # socket closed by stop()
-            conn.settimeout(None)
             try:
                 self._pool.submit(self._serve_connection, conn, addr)
             except RuntimeError:
                 conn.close()  # pool already shut down
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
-        raise NotImplementedError
+        conn.settimeout(30)
+        peer = f"{addr[0]}:{addr[1]}"
+        try:
+            with conn, conn.makefile("rb") as rfile:
+                try:
+                    req = self._read_request(rfile, peer)
+                except _Refused as refused:
+                    status, text = refused.args
+                    _WRITERS[self.kind](conn, status, "text/plain; charset=utf-8",
+                                        text.encode("utf-8"))
+                    _drain(conn)
+                    return
+                req._channel = conn
+                try:
+                    resp = self.dispatcher(req)
+                except Exception:
+                    resp = _INTERNAL_ERROR
+                send_response(req, resp.status, resp.body, resp.contentType)
+        except (OSError, ValueError, PeerGone):
+            pass  # peer went away or sent garbage beyond repair
 
     def stop(self) -> None:
         """Refuse new connections, then drain in-flight requests."""
-        if self._stopping.is_set():
-            return
         self._stopping.set()
         try:
             self._sock.close()
         except OSError:
             pass
         self._acceptor.join(timeout=5)
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
+        super().stop()
 
 
 class HttpListener(_SocketListener):
     kind = "http"
 
-    def _serve_connection(self, conn: socket.socket, addr) -> None:
-        conn.settimeout(30)
-        peer = f"{addr[0]}:{addr[1]}"
-        try:
-            with conn, conn.makefile("rb") as rfile:
-                status_only = self._read_request(rfile, peer)
-                if isinstance(status_only, tuple):
-                    status, message = status_only
-                    _http_write(conn, status, "text/plain; charset=utf-8",
-                                message.encode("utf-8"))
-                    _drain(conn)
-                    return
-                req = status_only
-                req._channel = conn
-                try:
-                    resp = self.dispatcher(req)
-                except Exception:
-                    resp = OutboundResponse(500, "text/plain; charset=utf-8",
-                                            b"internal error")
-                try:
-                    send_response(req, resp.status, resp.body, resp.contentType)
-                except PeerGone:
-                    pass
-        except (OSError, ValueError):
-            pass  # peer went away or sent garbage beyond repair
-
-    def _read_request(self, rfile, peer: str):
+    def _read_request(self, rfile, peer: str) -> InboundRequest:
         request_line = rfile.readline(MAX_LINE)
         if not request_line:
             raise PeerGone("empty request")
         if len(request_line) == MAX_LINE and not request_line.endswith(b"\n"):
-            return (414, "request line too long")
+            raise _Refused(414, "request line too long")
         try:
             method, target, version = request_line.decode("latin-1").strip().split(" ", 2)
         except ValueError:
-            return (400, "malformed request line")
+            raise _Refused(400, "malformed request line")
         if not version.startswith("HTTP/1."):
-            return (400, "unsupported protocol version")
+            raise _Refused(400, "unsupported protocol version")
         headers = {}
         lengths = set()
         for _ in range(MAX_HEADERS + 1):
@@ -297,7 +315,7 @@ class HttpListener(_SocketListener):
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(line) == MAX_LINE and not line.endswith(b"\n"):
-                return (431, "header line too long")
+                raise _Refused(431, "header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if sep:
                 name, value = name.strip().lower(), value.strip()
@@ -305,34 +323,34 @@ class HttpListener(_SocketListener):
                 if name == "content-length":
                     lengths.add(value)
         else:
-            return (431, "too many header fields")
+            raise _Refused(431, "too many header fields")
         # RFC 9112 section 6.1: a body framed both ways may be read
         # differently by a proxy, and no transfer coding is implemented
         if "transfer-encoding" in headers:
             if lengths:
-                return (400, "Transfer-Encoding with Content-Length")
-            return (501, "Transfer-Encoding is not supported")
+                raise _Refused(400, "Transfer-Encoding with Content-Length")
+            raise _Refused(501, "Transfer-Encoding is not supported")
         # RFC 9110 section 8.6: differing lengths make the message invalid
         if len(lengths) > 1:
-            return (400, "conflicting Content-Length")
+            raise _Refused(400, "conflicting Content-Length")
         method = method.upper()
         payload = b""
         if method == "POST":
             if "content-length" not in headers:
-                return (411, "Content-Length required")
+                raise _Refused(411, "Content-Length required")
             # 1*DIGIT (RFC 9110 section 8.6): int() would also take "-1",
             # which reads to EOF past the payload cap, "+3" and "1_0"
             value = headers["content-length"]
             if not (value.isascii() and value.isdigit()):
-                return (400, "bad Content-Length")
+                raise _Refused(400, "bad Content-Length")
             length = int(value)
             if length > MAX_PAYLOAD:
-                return (413, "payload too large")
+                raise _Refused(413, "payload too large")
             payload = rfile.read(length)
             if len(payload) < length:
                 raise PeerGone("peer closed mid-body")
         elif method != "GET":
-            return (405, "only GET and POST are supported")
+            raise _Refused(405, "only GET and POST are supported")
         path, _, query = target.partition("?")
         classification, parsed = classify_request(payload, headers, method)
         return InboundRequest(
@@ -365,95 +383,54 @@ def _drain(conn: socket.socket) -> None:
         left -= len(chunk)
 
 
+def _headerless_request(kind: str, peer: str, path: str, payload: bytes) -> InboundRequest:
+    """A request of a transport that carries the payload alone."""
+    classification, parsed = classify_request(payload)
+    return InboundRequest(
+        transportKind=kind,
+        peer=peer,
+        path=path,
+        headers=None,
+        payload=payload,
+        classification=classification,
+        parsed=parsed,
+    )
+
+
 class RawTcpListener(_SocketListener):
     kind = "rawTcp"
 
-    def _serve_connection(self, conn: socket.socket, addr) -> None:
-        conn.settimeout(30)
-        peer = f"{addr[0]}:{addr[1]}"
+    def _read_request(self, rfile, peer: str) -> InboundRequest:
         try:
-            with conn, conn.makefile("rb") as rfile:
-                try:
-                    payload = read_frame(rfile)
-                except ValueError:
-                    _frame_write(conn, b"frame too large")
-                    return
-                except PeerGone:
-                    return
-                classification, parsed = classify_request(payload)
-                req = InboundRequest(
-                    transportKind="rawTcp",
-                    peer=peer,
-                    path="",
-                    headers=None,
-                    payload=payload,
-                    classification=classification,
-                    parsed=parsed,
-                    _channel=conn,
-                )
-                try:
-                    resp = self.dispatcher(req)
-                except Exception:
-                    resp = OutboundResponse(500, "text/xml; charset=utf-8", b"")
-                try:
-                    send_response(req, resp.status, resp.body, resp.contentType)
-                except PeerGone:
-                    pass
-        except (OSError, ValueError):
-            pass
+            payload = read_frame(rfile)
+        except ValueError:
+            raise _Refused(413, "frame too large") from None
+        return _headerless_request(self.kind, peer, "", payload)
 
 
-class LoopbackListener:
+class LoopbackListener(_Listener):
     """In-memory binding: request() runs the payload through the same
     worker pool and returns the dispatcher's response."""
 
     kind = "loopback"
 
-    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
-                 pool_size: int = DEFAULT_POOL_SIZE):
-        self.cfg = cfg
-        self.dispatcher = dispatcher
-        self.port = cfg.port
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_size)
-        self._stopping = threading.Event()
-
     def request(self, payload: bytes, path: str = "", peer: str = "loopback",
                 timeout: Optional[float] = None) -> OutboundResponse:
         if self._stopping.is_set():
             raise PeerGone("listener stopped")
-        classification, parsed = classify_request(payload)
-        req = InboundRequest(
-            transportKind="loopback",
-            peer=peer,
-            path=path,
-            headers=None,
-            payload=payload,
-            classification=classification,
-            parsed=parsed,
-        )
+        req = _headerless_request(self.kind, peer, path, payload)
         future = self._pool.submit(self.dispatcher, req)
         return future.result(timeout=timeout)
 
-    def stop(self) -> None:
-        self._stopping.set()
-        self._pool.shutdown(wait=True)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
+_LISTENERS = {"http": HttpListener, "rawTcp": RawTcpListener, "loopback": LoopbackListener}
 
 
 def start_listener(cfg: BindingConfig, dispatcher: Dispatcher,
                    pool_size: int = DEFAULT_POOL_SIZE):
     """Start the listener matching cfg.kind; raises BindFailure if the
     port is taken."""
-    if cfg.kind == "http":
-        return HttpListener(cfg, dispatcher, pool_size)
-    if cfg.kind == "rawTcp":
-        return RawTcpListener(cfg, dispatcher, pool_size)
-    return LoopbackListener(cfg, dispatcher, pool_size)
+    return _LISTENERS[cfg.kind](cfg, dispatcher, pool_size)
 
 
 # --- responses ---------------------------------------------------------------
@@ -466,10 +443,14 @@ def send_response(req: InboundRequest, status: int, body: bytes,
     conn = req._channel
     if conn is None:
         raise PeerGone("request has no open channel")
-    if req.transportKind == "http":
-        _http_write(conn, status, content_type, body)
-    else:
-        _frame_write(conn, body)
+    _WRITERS[req.transportKind](conn, status, content_type, body)
+
+
+def _sendall(conn, data: bytes) -> None:
+    try:
+        conn.sendall(data)
+    except OSError as e:
+        raise PeerGone(str(e)) from None
 
 
 def _http_write(conn, status: int, content_type: str, body: bytes) -> None:
@@ -480,14 +461,12 @@ def _http_write(conn, status: int, content_type: str, body: bytes) -> None:
         f"Content-Length: {len(body)}\r\n"
         f"Connection: close\r\n\r\n"
     ).encode("latin-1")
-    try:
-        conn.sendall(head + body)
-    except OSError as e:
-        raise PeerGone(str(e)) from None
+    _sendall(conn, head + body)
 
 
-def _frame_write(conn, body: bytes) -> None:
-    try:
-        conn.sendall(encode_frame(body))
-    except OSError as e:
-        raise PeerGone(str(e)) from None
+def _frame_write(conn, status: int, content_type: str, body: bytes) -> None:
+    # a frame carries the body only
+    _sendall(conn, encode_frame(body))
+
+
+_WRITERS = {"http": _http_write, "rawTcp": _frame_write}

@@ -307,11 +307,12 @@ class TestServe:
             wait_for_port(port)
             with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
                 s.sendall(encode_frame(fig13_bytes))
-                body = read_frame(s.makefile("rb"))
+                with s.makefile("rb") as rfile:
+                    body = read_frame(rfile)
             assert canonicalize(body) == canonicalize(fig14_bytes)
         finally:
             proc.terminate()
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
 
     def test_manifest_services_served(self, tmp_path, capsys):
         manifest = tmp_path / "services.json"

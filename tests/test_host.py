@@ -10,6 +10,7 @@ import socket
 import threading
 import time
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
 
 import pyexpat
 
@@ -46,10 +47,14 @@ from mobilehost.cli import http_request
 from mobilehost.notes import NotesHandler, notes_descriptor
 from mobilehost.registry import make_user, password_proof
 from mobilehost.security import (
+    DEFAULT_VALIDITY_DAYS,
+    KeyStore,
     SignatureBlock,
     generate_keypair,
     issue_certificate,
+    parse_certificate_text,
     render_certificate_text,
+    verify_certificate,
     verify_signature,
 )
 from mobilehost.service import MethodSignature, ParameterSpec, ServiceDescriptor
@@ -512,6 +517,50 @@ class TestLifecycle:
         cert = secured.service_certificate("CadastroEscolar")
         assert verify_envelope_signature(resp.body, cert) is True
         assert [e.outcome for e in secured.registry.log_entries()] == ["ok"]
+
+    @pytest.mark.parametrize("age_days", [6, 11])
+    @pytest.mark.parametrize("registered", [True, False], ids=["restart", "create"])
+    def test_expiring_certificate_is_renewed_on_load(self, tmp_path, keypair, fig13_bytes,
+                                                     registered, age_days):
+        # restored from the saved state, or found on disk by create_service;
+        # with 4 days of 10 left, or expired a day ago
+        if registered:
+            make_host(tmp_path, secure_demo=True)
+        now = datetime.now(timezone.utc).replace(microsecond=0)
+        old = issue_certificate(keypair, "CadastroEscolar/",
+                                not_before=now - timedelta(days=age_days))
+        KeyStore(tmp_path / "data" / "keys").save("CadastroEscolar", keypair, old)
+        old_text = render_certificate_text(old)
+
+        host = make_host(tmp_path, secure_demo=True)
+        cert = host.service_certificate("CadastroEscolar")
+        assert cert.notBefore >= now
+        assert cert.notAfter - cert.notBefore == timedelta(days=DEFAULT_VALIDITY_DAYS)
+        assert verify_certificate(cert)
+        assert (cert.modulus, cert.subjectDN) == (old.modulus, old.subjectDN)
+        assert cert.serial != old.serial
+        cert_file = tmp_path / "data" / "keys" / "CadastroEscolar.cert"
+        assert cert_file.read_text() == render_certificate_text(cert)
+        # same key pair: a consumer holding the old text still verifies replies
+        resp = host.handle_request(soap_request(fig13_bytes))
+        assert resp.status == 200
+        assert verify_envelope_signature(resp.body, parse_certificate_text(old_text)) is True
+
+    @pytest.mark.parametrize("age_days", [0, 4])
+    def test_certificate_with_half_its_validity_left_is_kept(self, tmp_path, keypair,
+                                                             monkeypatch, age_days):
+        make_host(tmp_path, secure_demo=True)
+        now = datetime.now(timezone.utc).replace(microsecond=0)
+        cert = issue_certificate(keypair, "CadastroEscolar/",
+                                 not_before=now - timedelta(days=age_days))
+        KeyStore(tmp_path / "data" / "keys").save("CadastroEscolar", keypair, cert)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a fresh certificate wrote to the data dir")
+
+        monkeypatch.setattr("os.replace", refuse)
+        monkeypatch.setattr("os.open", refuse)
+        assert make_host(tmp_path, with_demo=False).service_certificate("CadastroEscolar") == cert
 
     def test_double_shutdown_is_idempotent(self, tmp_path):
         host = make_host(tmp_path)

@@ -151,19 +151,105 @@ class TestLoopback:
             listener.request(b"ping")
 
 
-class TestHttpListener:
+def plain_reply(status: bytes, text: bytes) -> bytes:
+    """The bytes of an HTTP reply the listener writes itself."""
+    return (b"HTTP/1.1 " + status + b"\r\nContent-Type: text/plain; charset=utf-8\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(text) + text)
+
+
+def read_to_eof(port: int, raw: bytes) -> bytes:
+    """Send raw without half-closing, then read until the host closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        s.sendall(raw)
+        chunks = []
+        while chunk := s.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class SocketListenerContract:
+    """Behaviour the http and rawTcp listeners share. A subclass names
+    the kind, sends one request with ``exchange`` and gives the exact
+    bytes of the replies the listener writes itself."""
+
+    kind = ""
+    internal_error = b""  # the reply to a dispatcher that raises
+
+    def listen(self, port: int, dispatcher):
+        return start_listener(BindingConfig(kind=self.kind, port=port), dispatcher)
+
+    def test_bind_conflict(self, port):
+        with self.listen(port, echo_dispatcher):
+            with pytest.raises(BindFailure):
+                self.listen(port, echo_dispatcher)
+
+    def test_dispatcher_crash_yields_500_response(self, port):
+        def bomb(req):
+            raise RuntimeError("boom")
+
+        with self.listen(port, bomb):
+            assert self.exchange(port, b"x") == self.internal_error
+
+    def test_refusal_with_head_unread_ends_in_eof_not_reset(self, port, refusal):
+        # the listener stops reading at the limit; closing with the rest
+        # of the request unread would send a reset instead of the answer
+        request, reply = refusal
+        with self.listen(port, echo_dispatcher):
+            # no shutdown here: the host half-closes first
+            assert read_to_eof(port, request) == reply
+
+    def test_peer_closed_before_request_is_no_error(self, port):
+        # nothing reads the pool's futures, so an error escaping the
+        # handler would be lost; it must close quietly instead
+        with self.listen(port, echo_dispatcher) as listener:
+            conn, peer = socket.socketpair()
+            peer.close()
+            assert listener._serve_connection(conn, ("127.0.0.1", 1)) is None
+            assert conn.fileno() == -1
+
+    def test_graceful_stop_answers_inflight(self, port):
+        release = threading.Event()
+
+        def slow(req):
+            release.wait(5)
+            return echo_dispatcher(req)
+
+        listener = self.listen(port, slow)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            inflight = pool.submit(self.exchange, port, b"inflight")
+            time.sleep(0.2)  # let the request reach the worker
+            stopper = pool.submit(listener.stop)
+            time.sleep(0.2)
+            release.set()
+            raw = inflight.result(timeout=10)
+            stopper.result(timeout=10)
+        assert raw.endswith(b"echo:inflight")
+        with pytest.raises(OSError):
+            self.exchange(port, b"late")
+
+
+class TestHttpListener(SocketListenerContract):
+    kind = "http"
+    internal_error = plain_reply(b"500 Internal Server Error", b"internal error")
+
+    def exchange(self, port: int, payload: bytes) -> bytes:
+        return post(port, payload)
+
+    @pytest.fixture(params=[
+        (b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\nHost: h\r\n\r\n",
+         plain_reply(b"414 URI Too Long", b"request line too long")),
+        (b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * 20_000 + b"\r\n",
+         plain_reply(b"431 Request Header Fields Too Large", b"too many header fields")),
+    ], ids=["414", "431"])
+    def refusal(self, request):
+        return request.param
+
     def test_post_round_trip(self, port):
         cfg = BindingConfig(kind="http", port=port)
         with HttpListener(cfg, echo_dispatcher):
             raw = post(port, b"hello")
             assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
             assert raw.endswith(b"echo:hello")
-
-    def test_bind_conflict(self, port):
-        cfg = BindingConfig(kind="http", port=port)
-        with HttpListener(cfg, echo_dispatcher):
-            with pytest.raises(BindFailure):
-                HttpListener(cfg, echo_dispatcher)
 
     def test_post_without_length_is_411(self, port):
         cfg = BindingConfig(kind="http", port=port)
@@ -246,28 +332,6 @@ class TestHttpListener:
             assert raw.startswith(b"HTTP/1.1 414 URI Too Long\r\n")
             assert raw.endswith(b"request line too long")
 
-    @pytest.mark.parametrize("head, status, message", [
-        (b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\nHost: h\r\n\r\n",
-         b"414 URI Too Long", b"request line too long"),
-        (b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * 20_000 + b"\r\n",
-         b"431 Request Header Fields Too Large", b"too many header fields"),
-    ], ids=["414", "431"])
-    def test_refusal_with_head_unread_ends_in_eof_not_reset(self, port, head, status,
-                                                            message):
-        # the listener stops reading at the limit; closing with the rest
-        # of the head unread would send a reset instead of the answer
-        cfg = BindingConfig(kind="http", port=port)
-        with HttpListener(cfg, echo_dispatcher):
-            with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
-                s.sendall(head)
-                # no shutdown here: the host half-closes first
-                chunks = []
-                while chunk := s.recv(65536):
-                    chunks.append(chunk)
-            raw = b"".join(chunks)
-            assert raw.startswith(b"HTTP/1.1 " + status + b"\r\n")
-            assert raw.endswith(message)
-
     def test_garbage_request_line_is_400(self, port):
         cfg = BindingConfig(kind="http", port=port)
         with HttpListener(cfg, echo_dispatcher):
@@ -279,15 +343,6 @@ class TestHttpListener:
         with HttpListener(cfg, echo_dispatcher):
             raw = http_exchange(port, b"DELETE /x HTTP/1.1\r\nHost: h\r\n\r\n")
             assert b"405" in raw.split(b"\r\n", 1)[0]
-
-    def test_dispatcher_crash_yields_500_response(self, port):
-        def bomb(req):
-            raise RuntimeError("boom")
-
-        cfg = BindingConfig(kind="http", port=port)
-        with HttpListener(cfg, bomb):
-            raw = post(port, b"x")
-            assert b"500" in raw.split(b"\r\n", 1)[0]
 
     def test_fifty_simultaneous_requests(self, port):
         cfg = BindingConfig(kind="http", port=port)
@@ -318,44 +373,28 @@ class TestHttpListener:
                 expected = b"500" if i % 2 else b"200"
                 assert expected in raw.split(b"\r\n", 1)[0]
 
-    def test_graceful_stop_answers_inflight(self, port):
-        release = threading.Event()
 
-        def slow(req):
-            release.wait(5)
-            return echo_dispatcher(req)
+class TestRawTcpListener(SocketListenerContract):
+    kind = "rawTcp"
+    internal_error = b"internal error"
 
-        cfg = BindingConfig(kind="http", port=port)
-        listener = HttpListener(cfg, slow)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            inflight = pool.submit(post, port, b"inflight")
-            time.sleep(0.2)  # let the request reach the worker
-            stopper = pool.submit(listener.stop)
-            time.sleep(0.2)
-            release.set()
-            raw = inflight.result(timeout=10)
-            stopper.result(timeout=10)
-        assert raw.endswith(b"echo:inflight")
-        with pytest.raises(OSError):
-            http_exchange(port, b"GET / HTTP/1.1\r\n\r\n")
-
-
-class TestRawTcpListener:
     def exchange(self, port: int, payload: bytes) -> bytes:
         with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
             s.sendall(encode_frame(payload))
-            return read_frame(s.makefile("rb"))
+            with s.makefile("rb") as rfile:
+                return read_frame(rfile)
+
+    @pytest.fixture(params=[
+        ((17 * 1024 * 1024).to_bytes(4, "big") + b"x" * 70_000,
+         encode_frame(b"frame too large")),
+    ], ids=["413"])
+    def refusal(self, request):
+        return request.param
 
     def test_frame_round_trip(self, port):
         cfg = BindingConfig(kind="rawTcp", port=port)
         with RawTcpListener(cfg, echo_dispatcher):
             assert self.exchange(port, SOAP_BYTES) == b"echo:" + SOAP_BYTES
-
-    def test_bind_conflict(self, port):
-        cfg = BindingConfig(kind="rawTcp", port=port)
-        with RawTcpListener(cfg, echo_dispatcher):
-            with pytest.raises(BindFailure):
-                RawTcpListener(cfg, echo_dispatcher)
 
     def test_classification_travels_with_request(self, port):
         seen = {}
@@ -374,7 +413,8 @@ class TestRawTcpListener:
         with RawTcpListener(cfg, echo_dispatcher):
             with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
                 s.sendall((17 * 1024 * 1024).to_bytes(4, "big") + b"x")
-                assert read_frame(s.makefile("rb")) == b"frame too large"
+                with s.makefile("rb") as rfile:
+                    assert read_frame(rfile) == b"frame too large"
 
 
 class TestSendResponse:
