@@ -19,6 +19,9 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
 
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
+
 from . import security
 from .errors import (
     BindFailure,
@@ -294,6 +297,20 @@ def cmd_invoke(args) -> int:
     if args.sign and (not args.key or not args.signer_cert):
         print("error: --sign requires --key and --signer-cert", file=sys.stderr)
         return EXIT_USAGE
+    # local files first: a bad one is a usage error, found before any traffic
+    service_cert = private_key = None
+    try:
+        if args.cert:
+            service_cert = security.parse_certificate_text(Path(args.cert).read_text())
+        if args.sign:
+            private_key = serialization.load_pem_private_key(
+                Path(args.key).read_bytes(), password=None)
+            if not isinstance(private_key, rsa.RSAPrivateKey):
+                raise ValueError("not an RSA private key")
+            signer_cert_text = Path(args.signer_cert).read_text()
+    except (ValueError, TypeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         descriptor = fetch_descriptor(args.url, timeout=args.timeout)
         env = build_call_envelope(descriptor, args.method, args.params)
@@ -307,9 +324,6 @@ def cmd_invoke(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    service_cert = None
-    if args.cert:
-        service_cert = security.parse_certificate_text(Path(args.cert).read_text())
     if args.encrypt:
         env = encrypted_carrier(serialize_envelope(env), descriptor.namespaceUri, service_cert)
     # the host reads Auth from the outermost envelope, never from ciphertext
@@ -319,12 +333,7 @@ def cmd_invoke(args) -> int:
         ))
         env = replace(env, headerEntries=env.headerEntries + (entry,))
     if args.sign:
-        from cryptography.hazmat.primitives import serialization
-
-        private_key = serialization.load_pem_private_key(
-            Path(args.key).read_bytes(), password=None
-        )
-        env = signed_envelope(env, private_key, Path(args.signer_cert).read_text())
+        env = signed_envelope(env, private_key, signer_cert_text)
     payload = serialize_envelope(env)
 
     try:
@@ -381,11 +390,11 @@ def cmd_keygen(args) -> int:
         return EXIT_FAULT
     try:
         kp = security.generate_keypair(args.bits)
+        cert = security.issue_certificate(kp, subjectDN=args.subject,
+                                          validityDays=args.days)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    cert = security.issue_certificate(kp, subjectDN=args.subject,
-                                      validityDays=args.days)
     store.save(args.name, kp, cert)
     print(f"wrote {store.directory / (args.name + '.key')}")
     print(f"wrote {store.directory / (args.name + '.cert')}")

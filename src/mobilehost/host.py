@@ -1,17 +1,20 @@
 """Host lifecycle and the request pipeline.
 
-A SOAP request runs through a straight sequence of stages: parse ->
-authenticate -> route -> authorize -> verify the inbound signature (if
-present) -> decrypt (if marked) -> validate -> execute -> coerce,
-serialize and sign (if the service is secured). Each stage returns its
-result or raises a typed ``MobileHostError``. ``Host._handle_soap``
+Listeners hand over framed bytes only. ``Host.handle_request``
+classifies each request (``transport.classify_request``), which parses
+a SOAP payload once. A SOAP request then runs through a straight
+sequence of stages: read the envelope from that tree -> authenticate
+-> route -> authorize -> verify the inbound signature (if present) ->
+decrypt (if marked) -> validate -> execute -> coerce, serialize and
+sign (if the service is secured). Each stage returns its result or
+raises a typed ``MobileHostError``. ``Host._handle_soap``
 turns such an error into a fault in one place: ``fault_code_for`` picks
 Client or Server, the fault is signed iff the caller got past
 authorization to a secured service, and one log entry records the
 service and method the request reached. Whatever a handler raises
 becomes a Server "handler failure". No input byte sequence may leave
 the pipeline without a response: any other exception is answered with
-a Server "internal host error".
+a Server "internal host error" and logged with its traceback.
 
 Wire conventions owned here (see docs/wire-format.md):
 
@@ -26,7 +29,7 @@ Wire conventions owned here (see docs/wire-format.md):
   they travel in, so header insertion never invalidates them. The host
   signs a reply's model before serializing it
   (``soap.serialize_body_canonical``) and checks a request's signature
-  on the tree the listener parsed, so no envelope is parsed twice;
+  on the tree ``handle_request`` parsed, so no envelope is parsed twice;
 * ``Auth`` and ``Signature`` are read from the header entry elements of
   that tree, each field as the entry's canonical form carries it
   (``canonical.canonical_text``);
@@ -37,6 +40,7 @@ Wire conventions owned here (see docs/wire-format.md):
 from __future__ import annotations
 
 import contextlib
+import logging
 import mimetypes
 import threading
 import time
@@ -47,7 +51,7 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
 
-from . import security
+from . import security, transport
 from .canonical import canonical_text, keeps_space, parse_xml, tree_body_canonical
 from .errors import (
     AccessDenied,
@@ -96,6 +100,8 @@ ENCRYPTED_OPERATION = "EncryptedRequest"
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
 
 _RENEW_MARGIN = timedelta(days=security.DEFAULT_VALIDITY_DAYS / 2)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,6 @@ class Host:
         self._keys: dict = {}  # serviceName -> (KeyPair, Certificate)
         self._service_locks: dict = {}
         self._listeners: list = []
-        self._started = False
-        self._stopped = False
         for rec in self.registry.list_services():
             self._restore_service_state(rec)
 
@@ -300,7 +304,8 @@ class Host:
         return kp, cert
 
     def start(self) -> None:
-        if self._started:
+        """Start a listener per binding; a no-op while they run."""
+        if self._listeners:
             return
         started = []
         try:
@@ -314,18 +319,14 @@ class Host:
                 listener.stop()
             raise
         self._listeners = started
-        self._started = True
 
     def shutdown(self) -> None:
         """Stop listeners gracefully. State needs no saving here: the
-        registry writes each change as it is made."""
-        if self._stopped:
-            return
-        for listener in self._listeners:
+        registry writes each change as it is made. The host may be
+        started again afterwards."""
+        listeners, self._listeners = self._listeners, []
+        for listener in listeners:
             listener.stop()
-        self._listeners = []
-        self._started = False
-        self._stopped = True
 
     def listener(self, kind: str):
         for listener in self._listeners:
@@ -402,13 +403,17 @@ class Host:
 
     def handle_request(self, req: InboundRequest) -> OutboundResponse:
         try:
-            if req.classification == "web":
+            # through the module so a wrapper bound there sees each call
+            # (perfbench/traced_serve.py counts bytes_in with one)
+            kind, root = transport.classify_request(req.payload, req.headers, req.method)
+            if kind == "web":
                 return self._handle_web(req)
-            if req.classification == "malformed":
+            if kind == "malformed":
                 return _xml_response(400, make_fault("Client", "malformed request"))
-            return self._handle_soap(req)
+            return self._handle_soap(req.path, root)
         except Exception:
             # absolute backstop: no input may go unanswered
+            _log.exception("request from %s failed in the host", req.peer)
             return _xml_response(500, make_fault("Server", "internal host error"))
 
     # --- web branch ---------------------------------------------------------
@@ -448,17 +453,16 @@ class Host:
 
     # --- soap branch -------------------------------------------------------
 
-    def _handle_soap(self, req: InboundRequest) -> OutboundResponse:
+    def _handle_soap(self, path: str, root: ET.Element) -> OutboundResponse:
         started = time.perf_counter()
         service_name = method_name = ""
         signing_key = None  # set once the caller is authorized for a secured service
         outcome = "serverFault"
         try:
-            root = _received_root(req)
             env, call = _parse_call(root, "request body must be a method call")
             method_name = call.operation.localName
             auth = self._authenticate(env)
-            desc = self._route(req.path, call)
+            desc = self._route(path, call)
             service_name = desc.serviceName
             self._authorize(auth, service_name)
             keys = self._keys.get(service_name) if desc.securityEnabled else None
@@ -525,20 +529,6 @@ class Host:
                 return handler.executeMethod(sig.name, [value for _, value in call.params])
         except Exception as e:
             raise HandlerError("handler failure", detail=str(e)) from e
-
-
-def _received_root(req: InboundRequest):
-    """The root element classify_request parsed from the payload; the
-    payload itself is never parsed again. A payload that did not parse
-    is the caller's fault. A request with no parse at all was built
-    without classify_request, which is the embedder's error: a plain
-    exception, answered as a Server fault."""
-    if isinstance(req.parsed, MalformedXml):
-        raise MalformedXml(str(req.parsed))
-    if req.parsed is None:
-        raise TypeError("soap request carries no parse of its payload; "
-                        "build it with transport.classify_request")
-    return req.parsed
 
 
 def _parse_call(raw, not_a_call: str) -> tuple:

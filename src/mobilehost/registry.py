@@ -7,8 +7,7 @@ memory, so a write that fails changes nothing and a change that
 returned survives a crash. Mutations serialize on a write lock of their
 own; lookups and the request log take only the table lock, held just
 to read or swap a record, so a request never waits on the disk. The
-request log stays in memory. ``Registry()`` is in memory only, and
-``snapshot(dir)`` writes the same file explicitly.
+request log stays in memory. ``Registry()`` is in memory only.
 
 ``state.db``: the first line is the SHA-256 hex digest of the bytes
 after it; the rest is ``{"services": [...], "users": [...]}`` as JSON
@@ -233,12 +232,6 @@ class Registry:
         data dir. The caller holds the write lock."""
         if self._directory is not None:
             write_file(self._directory / STATE_FILE, _state_bytes(services, users))
-
-    def snapshot(self, directory) -> None:
-        """Write the tables to ``directory/state.db``."""
-        with self._write_lock:
-            write_file(Path(directory) / STATE_FILE,
-                       _state_bytes(self._by_name.values(), self._users.values()))
 
     @classmethod
     def load_snapshot(cls, directory, log_capacity: int = DEFAULT_LOG_CAPACITY) -> "Registry":

@@ -1,8 +1,10 @@
-"""Network listeners and request classification.
+"""Network listeners and the HTTP rules of request classification.
 
-Three binding kinds share one dispatcher contract: the listener builds
-an InboundRequest, hands it to a worker from a bounded pool, and writes
-back whatever OutboundResponse the dispatcher returns.
+Three binding kinds share one dispatcher contract: the listener frames
+a request into an InboundRequest, hands it to a worker from a bounded
+pool, and writes back whatever OutboundResponse the dispatcher returns.
+Listeners only frame: they never parse the payload. The host decides
+what a request is (``classify_request``) and parses it once.
 
 * ``http``: HTTP/1.1 subset — GET and POST, Content-Length required on
   POST, one request per connection.
@@ -15,7 +17,7 @@ The ``http`` and ``rawTcp`` listeners share one connection handler and
 differ only in their reader. A request the reader refuses (a bad HTTP
 head, an oversized frame) is answered, then the unread rest is drained,
 so the peer sees a FIN and not a reset. A dispatcher that raises is
-answered ``internal error``.
+answered ``internal error`` and logged with its traceback.
 
 Stopping a listener is graceful: new connections are refused, requests
 already accepted still get their response.
@@ -24,16 +26,18 @@ already accepted still get their response.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 import socket
 import struct
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from .canonical import SOAP_ENV_NS, parse_xml
 from .errors import BindFailure, MalformedXml, PeerGone
+
+_log = logging.getLogger(__name__)
 
 MAX_PAYLOAD = 16 * 1024 * 1024
 DEFAULT_PORT = 5000
@@ -102,14 +106,8 @@ class InboundRequest:
     path: str
     headers: Optional[Mapping]  # http only; None on raw transports
     payload: bytes
-    classification: str  # soap | web | malformed
     query: str = ""
     method: str = ""
-    # what classify_request's parse of the payload gave: the root element,
-    # the MalformedXml it raised (the soap branch answers a request built
-    # from such a payload with that error), or None if it did not parse
-    parsed: Union[ET.Element, MalformedXml, None] = field(
-        default=None, repr=False, compare=False)
     _channel: object = field(default=None, repr=False, compare=False)
 
 
@@ -137,8 +135,8 @@ def classify_request(
 
     ``parsed`` is what parsing the payload gave: its root element, the
     MalformedXml parse_xml raised, or None if the payload was not parsed.
-    A soap request carries its envelope root here, and the pipeline
-    works on that tree instead of parsing the payload again.
+    "soap" always comes with the Envelope root, and the host works on
+    that tree instead of parsing the payload again.
     """
     if len(payload) > MAX_PAYLOAD:
         return "malformed", None
@@ -277,6 +275,8 @@ class _SocketListener(_Listener):
                 try:
                     resp = self.dispatcher(req)
                 except Exception:
+                    _log.exception("dispatcher failed on a %s request from %s",
+                                   self.kind, peer)
                     resp = _INTERNAL_ERROR
                 send_response(req, resp.status, resp.body, resp.contentType)
         except (OSError, ValueError, PeerGone):
@@ -352,17 +352,14 @@ class HttpListener(_SocketListener):
         elif method != "GET":
             raise _Refused(405, "only GET and POST are supported")
         path, _, query = target.partition("?")
-        classification, parsed = classify_request(payload, headers, method)
         return InboundRequest(
             transportKind="http",
             peer=peer,
             path=path,
             headers=headers,
             payload=payload,
-            classification=classification,
             query=query,
             method=method,
-            parsed=parsed,
         )
 
 
@@ -383,20 +380,6 @@ def _drain(conn: socket.socket) -> None:
         left -= len(chunk)
 
 
-def _headerless_request(kind: str, peer: str, path: str, payload: bytes) -> InboundRequest:
-    """A request of a transport that carries the payload alone."""
-    classification, parsed = classify_request(payload)
-    return InboundRequest(
-        transportKind=kind,
-        peer=peer,
-        path=path,
-        headers=None,
-        payload=payload,
-        classification=classification,
-        parsed=parsed,
-    )
-
-
 class RawTcpListener(_SocketListener):
     kind = "rawTcp"
 
@@ -405,7 +388,8 @@ class RawTcpListener(_SocketListener):
             payload = read_frame(rfile)
         except ValueError:
             raise _Refused(413, "frame too large") from None
-        return _headerless_request(self.kind, peer, "", payload)
+        return InboundRequest(transportKind=self.kind, peer=peer, path="",
+                              headers=None, payload=payload)
 
 
 class LoopbackListener(_Listener):
@@ -418,7 +402,8 @@ class LoopbackListener(_Listener):
                 timeout: Optional[float] = None) -> OutboundResponse:
         if self._stopping.is_set():
             raise PeerGone("listener stopped")
-        req = _headerless_request(self.kind, peer, path, payload)
+        req = InboundRequest(transportKind=self.kind, peer=peer, path=path,
+                             headers=None, payload=payload)
         future = self._pool.submit(self.dispatcher, req)
         return future.result(timeout=timeout)
 

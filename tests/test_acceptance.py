@@ -39,7 +39,7 @@ from mobilehost.soap import (
     parse_envelope,
     serialize_envelope,
 )
-from mobilehost.transport import BindingConfig, InboundRequest, classify_request
+from mobilehost.transport import BindingConfig, InboundRequest
 from mobilehost.wsdl import generate_wsdl, parse_wsdl
 
 from conftest import free_port, make_host
@@ -52,15 +52,12 @@ def ok(n: int, label: str) -> None:
 
 
 def soap_request(payload: bytes, path: str = "") -> InboundRequest:
-    classification, parsed = classify_request(payload)
     return InboundRequest(
         transportKind="loopback",
         peer="acceptance",
         path=path,
         headers=None,
         payload=payload,
-        classification=classification,
-        parsed=parsed,
     )
 
 

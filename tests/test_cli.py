@@ -443,6 +443,33 @@ class TestUsageErrors:
         assert main(["describe", f"http://127.0.0.1:{free_port()}/X.jws",
                      "--timeout", "1"]) == 3
 
+    # bad local input is a usage error, reported before any network traffic:
+    # the port is dead, so reaching it would exit 3
+    def assert_usage_error(self, proc, message: str = "") -> None:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_invoke_cert_that_is_no_certificate_exit_2(self, tmp_path):
+        bad = tmp_path / "service.cert"
+        bad.write_text("not a certificate\n")
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       "--cert", str(bad))
+        self.assert_usage_error(proc, "missing certificate banner")
+
+    def test_invoke_sign_key_that_is_no_pem_exit_2(self, tmp_path):
+        assert main(["keygen", "me", "--keys-dir", str(tmp_path)]) == 0
+        bad = tmp_path / "bad.key"
+        bad.write_bytes(b"not a key\n")
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       "--sign", "--key", str(bad), "--signer-cert", str(tmp_path / "me.cert"))
+        self.assert_usage_error(proc)
+
+    def test_keygen_zero_days_exit_2(self, tmp_path):
+        proc = run_cli("keygen", "Svc", "--keys-dir", str(tmp_path / "keys"), "--days", "0")
+        self.assert_usage_error(proc, "validityDays must be >= 1")
+        assert not (tmp_path / "keys").exists()
+
 
 class TestSeedFile:
     def test_seed_file_round_trip(self, tmp_path):

@@ -4,6 +4,7 @@ message security, lifecycle and robustness."""
 import collections
 import concurrent.futures
 import dataclasses
+import logging
 import random
 import shutil
 import socket
@@ -74,7 +75,6 @@ from mobilehost.soap import (
 from mobilehost.transport import (
     BindingConfig,
     InboundRequest,
-    classify_request,
     encode_frame,
     read_frame,
 )
@@ -84,15 +84,12 @@ from strategies import auth_entry, c14n_text, received_entries
 
 
 def soap_request(payload: bytes, path: str = "", kind: str = "loopback") -> InboundRequest:
-    classification, parsed = classify_request(payload)
     return InboundRequest(
         transportKind=kind,
         peer="test",
         path=path,
         headers=None,
         payload=payload,
-        classification=classification,
-        parsed=parsed,
     )
 
 
@@ -567,6 +564,20 @@ class TestLifecycle:
         host.shutdown()
         host.shutdown()
 
+    def test_restarted_host_stops_its_listeners(self, tmp_path, fig13_bytes, fig14_bytes):
+        port = free_port()
+        host = make_host(tmp_path, BindingConfig(kind="rawTcp", port=port))
+        host.start()
+        host.shutdown()
+        host.start()
+        listener = host.listener("rawTcp")
+        assert canonicalize(tcp_exchange(port, fig13_bytes)) == canonicalize(fig14_bytes)
+        host.shutdown()
+        assert host.listener("rawTcp") is None
+        assert not listener._acceptor.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
     def test_shutdown_completes_inflight(self, tmp_path, fig13_bytes):
         release = threading.Event()
 
@@ -601,7 +612,6 @@ class TestWebBranch:
                 path=path,
                 headers={},
                 payload=b"",
-                classification="web",
                 query=query,
                 method="GET",
             )
@@ -748,6 +758,29 @@ class TestConcurrencyAndDeployment:
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("payload", [b"hello", b"<notAnEnvelope/>"])
+    def test_non_envelope_over_raw_tcp_is_malformed_request(self, tmp_path, payload):
+        port = free_port()
+        host = make_host(tmp_path, BindingConfig(kind="rawTcp", port=port))
+        host.start()
+        try:
+            fault = parse_envelope(tcp_exchange(port, payload)).body
+        finally:
+            host.shutdown()
+        assert (fault.faultcode, fault.faultstring) == ("Client", "malformed request")
+        assert host.registry.log_entries() == []
+
+    def test_host_failure_is_logged(self, demo_host, fig13_bytes, monkeypatch, caplog):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Host, "_route", boom)
+        resp = demo_host.handle_request(soap_request(fig13_bytes))
+        assert (resp.status, fault_of(resp).faultstring) == (500, "internal host error")
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1
+        assert "boom" in logging.Formatter().formatException(errors[0].exc_info)
+
     def test_fuzz_subset_always_answers(self, demo_host, fig13_bytes):
         rng = random.Random(99)
         cases = []
@@ -853,11 +886,9 @@ Expect = collections.namedtuple(
 
 FAULT_MATRIX = [
     ("not_xml", lambda ctx: b"this is not xml",
-     Expect("Client", "syntax error: line 1, column 0", None, False, 500,
-            "clientFault", "", "")),
+     Expect("Client", "malformed request", None, False, 400, None, None, None)),
     ("dtd", lambda ctx: b'<!DOCTYPE d [<!ENTITY x "Q">]>' + ctx["fig13"],
-     Expect("Client", "DTD markup is not accepted", None, False, 500,
-            "clientFault", "", "")),
+     Expect("Client", "malformed request", None, False, 400, None, None, None)),
     ("response_as_request", lambda ctx: ctx["fig14"],
      Expect("Client", "request body must be a method call", None, False, 500,
             "clientFault", "", "")),
@@ -927,7 +958,7 @@ FAULT_MATRIX = [
                                              namespace=TRICKY_NS),
      Expect("Server", "handler returned int, signature declares string", None, True, 500,
             "serverFault", "Tricky", "wrongType")),
-    ("malformed", lambda ctx: ctx["fig13"],
+    ("malformed", lambda ctx: b"<notAnEnvelope/>",
      Expect("Client", "malformed request", None, False, 400, None, None, None)),
     ("success", lambda ctx: authed(),
      Expect(None, None, None, True, 200, "ok", "CadastroEscolar", "obterNotas")),
@@ -941,10 +972,7 @@ def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
     ctx = {"keypair": keypair, "other_keypair": other_keypair,
            "fig13": fig13_bytes, "fig14": fig14_bytes}
     payload = build(ctx)
-    req = soap_request(payload)
-    # only the malformed row goes unlogged; every other row reaches the soap branch
-    req.classification = "malformed" if expect.outcome is None else "soap"
-    resp = matrix_host.handle_request(req)
+    resp = matrix_host.handle_request(soap_request(payload))
 
     assert resp.status == expect.status
     env = parse_envelope(resp.body)
@@ -1119,22 +1147,8 @@ class TestOneParsePerRequest:
         cert = host.service_certificate("CadastroEscolar")
         assert verify_envelope_signature(resp.body, cert) is True
 
-    def test_soap_request_without_its_root_is_a_server_fault(self, tmp_path, fig13_bytes,
-                                                            xml_calls):
-        # built by hand instead of through classify_request: the host's
-        # fault, answered without parsing the payload
-        host = make_host(tmp_path)
-        resp = host.handle_request(InboundRequest(
-            transportKind="loopback", peer="test", path="", headers=None,
-            payload=fig13_bytes, classification="soap"))
-        assert sum(xml_calls.values()) == 0
-        fault = parse_envelope(resp.body).body
-        assert (resp.status, fault.faultcode, fault.faultstring) == (
-            500, "Server", "internal host error")
-        assert [e.outcome for e in host.registry.log_entries()] == ["serverFault"]
-
     def test_authenticated_signed_call_is_parsed_once(self, tmp_path, keypair, xml_calls):
-        # Auth and Signature are read from the elements the listener
+        # Auth and Signature are read from the elements handle_request
         # parsed; attach_signature parses, so the request is built first
         host = make_host(tmp_path, secure_demo=True, authRequired=True)
         host.registry.add_user(make_user("aluno1", "segredo", "dev1", {"CadastroEscolar"}))

@@ -237,9 +237,8 @@ class TestPersistence:
         assert logins_a == logins_b
 
     def test_round_trip(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         loaded = Registry.load_snapshot(tmp_path)
         self.assert_equal_state(reg, loaded)
 
@@ -249,9 +248,8 @@ class TestPersistence:
         assert loaded.list_users() == []
 
     def test_truncated_table_is_corrupt(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         state = tmp_path / "state.db"
         blob = state.read_bytes()
         for cut in (40, len(blob) // 2, len(blob) - 1):
@@ -260,9 +258,8 @@ class TestPersistence:
                 Registry.load_snapshot(tmp_path)
 
     def test_missing_or_wrong_digest_line_is_corrupt(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         state = tmp_path / "state.db"
         digest, _, body = state.read_bytes().partition(b"\n")
         wrong = hashlib.sha256(body + b" ").hexdigest().encode()
@@ -272,9 +269,8 @@ class TestPersistence:
                 Registry.load_snapshot(tmp_path)
 
     def test_digest_covers_the_tables(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         digest, _, body = (tmp_path / "state.db").read_bytes().partition(b"\n")
         assert digest == hashlib.sha256(body).hexdigest().encode()
         tables = json.loads(body)
@@ -283,9 +279,8 @@ class TestPersistence:
             "Alpha", "Beta", "CadastroEscolar"]
 
     def test_unreadable_field_is_corrupt(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         state = tmp_path / "state.db"
         tables = json.loads(state.read_bytes().partition(b"\n")[2])
         tables["users"][0]["salt"] = "not hex"
@@ -295,28 +290,25 @@ class TestPersistence:
             Registry.load_snapshot(tmp_path)
 
     def test_no_plaintext_password_in_snapshot(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert [p.name for p in files] == ["state.db"]
         for path in files:
             assert b"hunter2-sentinel" not in path.read_bytes()
 
     def test_access_still_works_after_reload(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        reg.snapshot(tmp_path)
         loaded = Registry.load_snapshot(tmp_path)
         assert loaded.check_access("aluno1", "hunter2-sentinel", "CadastroEscolar")
         assert not loaded.check_access("aluno1", "wrong", "CadastroEscolar")
 
 
-def write_old_layout(reg: Registry, directory) -> None:
-    """Save reg the way the registry did before state.db: services.db and
-    users.db as JSON tables, plus a sha256sum-style checksums file."""
-    directory.mkdir(parents=True, exist_ok=True)
-    reg.snapshot(directory)
+def write_old_layout(directory) -> None:
+    """Rewrite the registry saved in directory the way it was saved before
+    state.db: services.db and users.db as JSON tables, plus a
+    sha256sum-style checksums file."""
     state = directory / "state.db"
     tables = json.loads(state.read_bytes().partition(b"\n")[2])
     state.unlink()
@@ -385,9 +377,9 @@ class TestBoundRegistry:
                                for r in Registry.load_snapshot(tmp_path).list_services()}
 
     def test_old_layout_is_read_once_and_replaced(self, tmp_path):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        write_old_layout(reg, tmp_path)
+        write_old_layout(tmp_path)
         loaded = Registry.load_snapshot(tmp_path)
         self.assert_equal_state(reg, loaded)
         assert [p.name for p in tmp_path.iterdir()] == ["state.db"]
@@ -397,9 +389,9 @@ class TestBoundRegistry:
 
     @pytest.mark.parametrize("damage", ["truncate", "no checksums", "no users table"])
     def test_corrupt_old_layout_is_refused_and_kept(self, tmp_path, damage):
-        reg = Registry()
+        reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        write_old_layout(reg, tmp_path)
+        write_old_layout(tmp_path)
         if damage == "truncate":
             services = tmp_path / "services.db"
             services.write_bytes(services.read_bytes()[:40])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import io
+import logging
 import socket
 import threading
 import time
@@ -189,6 +190,16 @@ class SocketListenerContract:
 
         with self.listen(port, bomb):
             assert self.exchange(port, b"x") == self.internal_error
+
+    def test_dispatcher_crash_is_logged(self, port, caplog):
+        def bomb(req):
+            raise RuntimeError("boom")
+
+        with self.listen(port, bomb):
+            self.exchange(port, b"x")
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1
+        assert "boom" in logging.Formatter().formatException(errors[0].exc_info)
 
     def test_refusal_with_head_unread_ends_in_eof_not_reset(self, port, refusal):
         # the listener stops reading at the limit; closing with the rest
@@ -396,18 +407,6 @@ class TestRawTcpListener(SocketListenerContract):
         with RawTcpListener(cfg, echo_dispatcher):
             assert self.exchange(port, SOAP_BYTES) == b"echo:" + SOAP_BYTES
 
-    def test_classification_travels_with_request(self, port):
-        seen = {}
-
-        def capture(req):
-            seen["classification"] = req.classification
-            return echo_dispatcher(req)
-
-        cfg = BindingConfig(kind="rawTcp", port=port)
-        with RawTcpListener(cfg, capture):
-            self.exchange(port, b"hello")
-        assert seen["classification"] == "malformed"
-
     def test_oversize_declared_frame_gets_error_frame(self, port):
         cfg = BindingConfig(kind="rawTcp", port=port)
         with RawTcpListener(cfg, echo_dispatcher):
@@ -436,7 +435,7 @@ class TestSendResponse:
         b.close()
         req = InboundRequest(
             transportKind="rawTcp", peer="t", path="", headers=None,
-            payload=b"", classification="malformed", _channel=a,
+            payload=b"", _channel=a,
         )
         with pytest.raises(PeerGone):
             send_response(req, 200, b"late")
@@ -446,7 +445,7 @@ class TestSendResponse:
 
         req = InboundRequest(
             transportKind="loopback", peer="t", path="", headers=None,
-            payload=b"", classification="soap",
+            payload=b"",
         )
         with pytest.raises(PeerGone):
             send_response(req, 200, b"x")
