@@ -24,7 +24,6 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 
 from . import security
 from .errors import (
-    BindFailure,
     DuplicateUser,
     IoFailure,
     MobileHostError,
@@ -51,6 +50,7 @@ from .soap import (
     SoapCall,
     SoapEnvelope,
     SoapFault,
+    SoapResponseBody,
     TypedValue,
     XsdType,
     make_header_entry,
@@ -160,7 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- serve ---------------------------------------------------------------
 
 
-def build_host(args) -> Host:
+def serve_plan(args) -> tuple:
+    """(HostConfig, [(descriptor, handler), ...]) of the serve options.
+    Raises ValueError on a usage error, before the data dir is touched."""
     bindings = [BindingConfig.from_url(b) for b in args.bind] or [
         BindingConfig(kind="http", address="127.0.0.1", port=5000)
     ]
@@ -172,15 +174,12 @@ def build_host(args) -> Host:
         authRequired=args.auth_required,
         workerPoolSize=args.pool_size,
     )
-    host = Host(cfg)
-    if args.services:
-        for descriptor, handler in load_manifest(args.services):
-            host.create_service(descriptor, handler)
+    services = load_manifest(args.services) if args.services else []
     if args.demo_notes:
         seed = load_seed_file(args.notes_seed) if args.notes_seed else None
         handler = NotesHandler(seed) if seed is not None else NotesHandler()
-        host.create_service(notes_descriptor(args.demo_secure), handler)
-    return host
+        services.append((notes_descriptor(args.demo_secure), handler))
+    return cfg, services
 
 
 def cmd_serve(args) -> int:
@@ -197,14 +196,21 @@ def cmd_serve(args) -> int:
             signal.signal(sig, request_stop)
         except ValueError:
             pass  # not the main thread
-    lock = _lock_data_dir(Path(args.data_dir))
+    try:
+        cfg, services = serve_plan(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    lock = _lock_data_dir(cfg.dataDir)
     if lock is None:
         return EXIT_IO
     try:
         try:
-            host = build_host(args)
+            host = Host(cfg)
+            for descriptor, handler in services:
+                host.create_service(descriptor, handler)
             host.start()
-        except (BindFailure, MobileHostError, ValueError) as e:
+        except (MobileHostError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_IO
         for binding in host.cfg.bindings:
@@ -240,7 +246,7 @@ def _lock_data_dir(data_dir: Path) -> Optional[int]:
 
 def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) -> tuple:
     """GET the URL, or POST body to it as a SOAP payload; returns
-    (status, body bytes)."""
+    (status, body bytes). A reply that is not HTTP is an IoFailure."""
     parts = urlsplit(url)
     target = parts.path or "/"
     if parts.query:
@@ -254,6 +260,8 @@ def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) 
                 "Content-Type": "text/xml; charset=utf-8", "SOAPAction": '""'})
         resp = conn.getresponse()
         return resp.status, resp.read()
+    except http.client.HTTPException as e:
+        raise IoFailure(f"no readable HTTP reply from {parts.netloc}: {e!r}") from None
     finally:
         conn.close()
 
@@ -362,6 +370,10 @@ def cmd_invoke(args) -> int:
         detail = f" ({fault.detail})" if fault.detail else ""
         print(f"FAULT {fault.faultcode}: {fault.faultstring}{detail}")
         return EXIT_FAULT
+    if not isinstance(envelope.body, SoapResponseBody):
+        print(f"error: unreadable response (status {status}): its Body is "
+              "neither a response nor a fault", file=sys.stderr)
+        return EXIT_IO
     print(envelope.body.result.lexical)
     return EXIT_OK if verdict_ok else EXIT_FAULT
 

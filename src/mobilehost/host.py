@@ -16,6 +16,14 @@ becomes a Server "handler failure". No input byte sequence may leave
 the pipeline without a response: any other exception is answered with
 a Server "internal host error" and logged with its traceback.
 
+Each registered service has one live entry (``_LiveService``): its
+handler, its key pair and certificate iff it is secured, and its lock
+iff it runs exclusively. ``Host`` builds the entry whole, publishes it
+only once the registry holds the record, replaces it in one assignment
+and drops it in one pop, and a request reads it once. A secured service
+fails closed: routed to with no entry, it gets a Server fault before
+any verify, decrypt or execute, never an unsigned reply.
+
 Wire conventions owned here (see docs/wire-format.md):
 
 * header entries live under the namespace ``urn:mobilehost:headers``:
@@ -82,7 +90,6 @@ from .soap import (
     TypedValue,
     XsdType,
     make_fault,
-    make_header_entry,
     parse_envelope,
     serialize_body_canonical,
     serialize_envelope,
@@ -198,10 +205,6 @@ def parse_signature_header(el: ET.Element):
     )
 
 
-def encrypted_marker_xml() -> str:
-    return f'<Encrypted xmlns="{HEADERS_NS}">true</Encrypted>'
-
-
 def attach_signature(
     envelope_xml: bytes,
     private_key,
@@ -249,6 +252,8 @@ def encrypted_carrier(plain_envelope: bytes, service_namespace: str,
                       cert: security.Certificate) -> SoapEnvelope:
     """The carrier envelope encrypt_request serializes."""
     cipher = security.encrypt_message(plain_envelope, cert.public_key())
+    marker = ET.Element(ENCRYPTED_HEADER.clark)
+    marker.text = "true"
     return SoapEnvelope(
         body=SoapCall(
             operation=QName(ENCRYPTED_OPERATION, service_namespace),
@@ -258,40 +263,59 @@ def encrypted_carrier(plain_envelope: bytes, service_namespace: str,
                 ("ciphertext", TypedValue.of(XsdType.STRING, cipher.ciphertext)),
             ),
         ),
-        headerEntries=(make_header_entry(encrypted_marker_xml()),),
+        headerEntries=(marker,),
     )
 
 
 # --- the host -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _LiveService:
+    """What a registered service needs at run time."""
+
+    handler: Optional[ServiceHandler]
+    keys: Optional[tuple]  # (KeyPair, Certificate) iff the service is secured
+    lock: Optional[threading.Lock]  # iff it runs exclusively
+
+
 class Host:
     def __init__(self, cfg: HostConfig):
         self.cfg = cfg
+        # read first: a data dir the registry refuses is left as it was
+        self.registry = Registry.load_snapshot(cfg.dataDir)
         try:
             cfg.dataDir.mkdir(parents=True, exist_ok=True)
             cfg.wsdlDir.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise IoFailure(f"cannot create host directories: {e}") from None
-        self.registry = Registry.load_snapshot(cfg.dataDir)
         self.keystore = KeyStore(cfg.dataDir / "keys")
-        self._handlers: dict = {}
-        self._keys: dict = {}  # serviceName -> (KeyPair, Certificate)
-        self._service_locks: dict = {}
+        self._live: dict = {}  # serviceName -> _LiveService
         self._listeners: list = []
         for rec in self.registry.list_services():
-            self._restore_service_state(rec)
+            self._live[rec.descriptor.serviceName] = self._live_service(
+                rec.descriptor, rec.keySetId, handler=None)
 
     # --- lifecycle -------------------------------------------------------
 
-    def _restore_service_state(self, rec: ServiceRecord) -> None:
-        name = rec.descriptor.serviceName
-        if rec.descriptor.exclusiveExecution:
-            self._service_locks[name] = threading.Lock()
-        if rec.keySetId:
-            # IoFailure naming the missing file: serving a secured
-            # service unsigned would be worse than not starting
-            self._keys[name] = self._load_keys(rec.keySetId)
+    def _live_service(self, desc: ServiceDescriptor, key_set_id: Optional[str],
+                      handler: Optional[ServiceHandler], issue: bool = False) -> _LiveService:
+        """The live entry of a service. A secured service's keys come from
+        the key store; with issue, a key pair the store lacks is made and
+        saved first. Without it, missing key files are an IoFailure naming
+        the file: serving a secured service unsigned would be worse than
+        not starting."""
+        keys = None
+        if key_set_id is not None:
+            if issue and not self.keystore.has(key_set_id):
+                kp = security.generate_keypair()
+                cert = security.issue_certificate(kp, subjectDN=f"{key_set_id}/")
+                self.keystore.save(key_set_id, kp, cert)
+                keys = (kp, cert)
+            else:
+                keys = self._load_keys(key_set_id)
+        lock = threading.Lock() if desc.exclusiveExecution else None
+        return _LiveService(handler, keys, lock)
 
     def _load_keys(self, key_set_id: str) -> tuple:
         """(KeyPair, Certificate) of a service. A certificate within
@@ -348,7 +372,9 @@ class Host:
         and stored, route live immediately. Re-creating a fingerprint-
         identical service just re-attaches the handler. Keys and WSDL
         are written before the registry saves the record, so after a
-        crash the saved state never names key material that is missing."""
+        crash the saved state never names key material that is missing;
+        the live entry is published only after the registry took the
+        record, so a refused one leaves nothing behind."""
         name = desc.serviceName
         try:
             existing = self.registry.lookup_service(name)
@@ -356,48 +382,36 @@ class Host:
             existing = None
         if existing is not None:
             if descriptor_fingerprint(existing.descriptor) == descriptor_fingerprint(desc):
-                self._handlers[name] = handler
+                self.attach_handler(name, handler)
                 return existing
             raise DuplicateService(
                 f"service {name} already exists with a different signature"
             )
 
-        key_set_id = None
-        if desc.securityEnabled:
-            key_set_id = name
-            if self.keystore.has(name):
-                self._keys[name] = self._load_keys(name)
-            else:
-                kp = security.generate_keypair()
-                cert = security.issue_certificate(kp, subjectDN=f"{name}/")
-                self.keystore.save(name, kp, cert)
-                self._keys[name] = (kp, cert)
-
+        key_set_id = name if desc.securityEnabled else None
+        live = self._live_service(desc, key_set_id, handler, issue=True)
         doc = generate_wsdl(desc, self._endpoint_url(desc))
         store_wsdl(doc, self.cfg.wsdlDir)
         rec = ServiceRecord(
             descriptor=desc, wsdl=doc, keySetId=key_set_id, createdAt=time.time()
         )
         self.registry.register_service(rec)
-        self._handlers[name] = handler
-        if desc.exclusiveExecution:
-            self._service_locks[name] = threading.Lock()
+        self._live[name] = live
         return rec
 
     def attach_handler(self, service_name: str, handler: ServiceHandler) -> None:
         self.registry.lookup_service(service_name)  # NotFound if absent
-        self._handlers[service_name] = handler
+        self._live[service_name] = replace(self._live[service_name], handler=handler)
 
     def remove_service(self, name: str) -> None:
         self.registry.remove_service(name)
-        self._handlers.pop(name, None)
-        self._keys.pop(name, None)
-        self._service_locks.pop(name, None)
+        self._live.pop(name, None)
 
     def service_certificate(self, name: str) -> security.Certificate:
-        if name not in self._keys:
+        live = self._live.get(name)
+        if live is None or live.keys is None:
             raise NotFound(f"no key material for service: {name}")
-        return self._keys[name][1]
+        return live.keys[1]
 
     # --- pipeline ------------------------------------------------------------
 
@@ -426,11 +440,11 @@ class Host:
                 return _plain(404, "no such service")
             if req.query == "wsdl":
                 return OutboundResponse(200, XML_CONTENT_TYPE, rec.wsdl.xmlText)
-            name = rec.descriptor.serviceName
-            if name in self._keys:
-                text = security.render_certificate_text(self._keys[name][1])
-                return _plain(200, text)
-            return _plain(404, "service has no certificate")
+            try:
+                cert = self.service_certificate(rec.descriptor.serviceName)
+            except NotFound:
+                return _plain(404, "service has no certificate")
+            return _plain(200, security.render_certificate_text(cert))
         if req.method == "GET":
             return self._serve_static(req.path)
         return _plain(404, "no such resource")
@@ -465,15 +479,19 @@ class Host:
             desc = self._route(path, call)
             service_name = desc.serviceName
             self._authorize(auth, service_name)
-            keys = self._keys.get(service_name) if desc.securityEnabled else None
-            if keys is not None:
-                signing_key = keys[0].privateKey
+            live = self._live.get(service_name)
+            if live is None or (desc.securityEnabled and live.keys is None):
+                # not yet published or already removed: a secured service
+                # fails closed, before anything needs its keys
+                raise HandlerError("no handler attached to service")
+            if desc.securityEnabled:
+                signing_key = live.keys[0].privateKey
                 _verify_inbound_signature(root, env)
                 if env.header(ENCRYPTED_HEADER) is not None:
                     call = _decrypt_carrier(call, signing_key)
                     method_name = call.operation.localName
             sig = validate_call(desc, call)
-            response = _respond(desc, sig, self._execute(desc, sig, call), signing_key)
+            response = _respond(desc, sig, _execute(live, sig, call), signing_key)
             outcome = "ok"
             return response
         except MobileHostError as e:
@@ -517,18 +535,16 @@ class Host:
         ):
             raise AccessDenied()
 
-    def _execute(self, desc: ServiceDescriptor, sig: MethodSignature,
-                 call: SoapCall) -> TypedValue:
-        """Run the handler; whatever it raises becomes a HandlerError."""
-        handler = self._handlers.get(desc.serviceName)
-        if handler is None:
-            raise HandlerError("no handler attached to service")
-        lock = self._service_locks.get(desc.serviceName) if desc.exclusiveExecution else None
-        try:
-            with lock or contextlib.nullcontext():
-                return handler.executeMethod(sig.name, [value for _, value in call.params])
-        except Exception as e:
-            raise HandlerError("handler failure", detail=str(e)) from e
+
+def _execute(live: _LiveService, sig: MethodSignature, call: SoapCall) -> TypedValue:
+    """Run the handler; whatever it raises becomes a HandlerError."""
+    if live.handler is None:
+        raise HandlerError("no handler attached to service")
+    try:
+        with live.lock or contextlib.nullcontext():
+            return live.handler.executeMethod(sig.name, [value for _, value in call.params])
+    except Exception as e:
+        raise HandlerError("handler failure", detail=str(e)) from e
 
 
 def _parse_call(raw, not_a_call: str) -> tuple:

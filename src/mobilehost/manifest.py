@@ -59,8 +59,12 @@ def load_manifest(path):
     except json.JSONDecodeError as e:
         raise ValueError(f"manifest {path} is not valid JSON: {e}") from None
     services = []
-    for item in data.get("services", []):
-        descriptor = descriptor_from_dict(item)
+    for i, item in enumerate(data.get("services", [])):
+        try:
+            descriptor = descriptor_from_dict(item)
+        except KeyError as e:
+            raise ValueError(
+                f"manifest {path}: services[{i}] has no {e.args[0]!r} field") from None
         handler_name = item.get("handler", "echo")
         factory = BUILTIN_HANDLERS.get(handler_name)
         if factory is None:

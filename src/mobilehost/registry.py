@@ -11,10 +11,12 @@ request log stays in memory. ``Registry()`` is in memory only.
 
 ``state.db``: the first line is the SHA-256 hex digest of the bytes
 after it; the rest is ``{"services": [...], "users": [...]}`` as JSON
-(``indent=1``, sorted keys). A missing or wrong digest line, a
-truncated file or an unreadable field refuses to load
-(``CorruptSnapshot``). A data dir saved before ``state.db`` existed is
-read once through ``_read_old_layout`` and rewritten as ``state.db``.
+(``indent=1``, sorted keys). ``state.db`` is the only file read. A
+missing or wrong digest line, a truncated file or an unreadable field
+refuses to load (``CorruptSnapshot``). So does a data dir in the layout
+before ``state.db`` (``services.db``, ``users.db``, ``checksums``) that
+holds no ``state.db``: the refusal names the file, and nothing is
+loaded or written, so such a dir never starts as an empty registry.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .service import ServiceDescriptor, descriptor_from_dict, descriptor_to_dict
 from .wsdl import WsdlDocument
 
 STATE_FILE = "state.db"
+OLD_LAYOUT_FILES = ("services.db", "users.db", "checksums")
 DEFAULT_LOG_CAPACITY = 1024
 
 OUTCOMES = ("ok", "clientFault", "serverFault", "denied")
@@ -240,20 +243,17 @@ class Registry:
         directory holds no state."""
         directory = Path(directory)
         state = directory / STATE_FILE
-        old_files = ()
+        reg = cls(log_capacity=log_capacity)
         try:
-            blob = state.read_bytes()
+            reg._fill(_decode_state(state.read_bytes()))
         except FileNotFoundError:
-            blob, old_files = _read_old_layout(directory) or (None, ())
+            for name in OLD_LAYOUT_FILES:
+                if (directory / name).exists():
+                    raise CorruptSnapshot(
+                        f"{directory / name}: a data dir from before {STATE_FILE} "
+                        f"is not read, and this one has no {STATE_FILE}") from None
         except OSError as e:
             raise IoFailure(f"cannot read {state}: {e}") from None
-        reg = cls(log_capacity=log_capacity)
-        if blob is not None:
-            reg._fill(_decode_state(blob))
-        if old_files:
-            write_file(state, blob)
-            for path in old_files:
-                path.unlink(missing_ok=True)
         reg._directory = directory
         return reg
 
@@ -285,7 +285,7 @@ class Registry:
 
 
 def _state_bytes(services, users) -> bytes:
-    return _encode({
+    body = json.dumps({
         "services": [
             {
                 "descriptor": descriptor_to_dict(r.descriptor),
@@ -305,11 +305,7 @@ def _state_bytes(services, users) -> bytes:
             }
             for u in sorted(users, key=lambda u: u.login)
         ],
-    })
-
-
-def _encode(tables: dict) -> bytes:
-    body = json.dumps(tables, indent=1, sort_keys=True).encode("utf-8")
+    }, indent=1, sort_keys=True).encode("utf-8")
     return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
 
 
@@ -322,35 +318,3 @@ def _decode_state(blob: bytes) -> dict:
     except ValueError as e:
         raise CorruptSnapshot(f"{STATE_FILE}: {e}") from None
 
-
-def _read_old_layout(directory: Path):
-    """(state.db bytes, the files they came from) for a data dir saved
-    in the layout before ``state.db``, or None if it has none.
-
-    That layout is two JSON tables, ``services.db`` and ``users.db``,
-    plus ``checksums`` with one ``<sha256 hex>  <file name>`` line each.
-    """
-    tables = (directory / "services.db", directory / "users.db")
-    checksums = directory / "checksums"
-    if not any(path.exists() for path in tables):
-        return None
-    try:
-        if not checksums.exists():
-            raise CorruptSnapshot("snapshot has tables but no checksums file")
-        checks = {}
-        for line in checksums.read_text(encoding="utf-8").splitlines():
-            digest, _, name = line.partition("  ")
-            checks[name] = digest
-        merged = {}
-        for path in tables:
-            if not path.exists():
-                raise CorruptSnapshot(f"missing snapshot table: {path.name}")
-            blob = path.read_bytes()
-            if checks.get(path.name) != hashlib.sha256(blob).hexdigest():
-                raise CorruptSnapshot(f"checksum mismatch for {path.name}")
-            merged.update(json.loads(blob))
-    except OSError as e:
-        raise IoFailure(f"cannot read snapshot in {directory}: {e}") from None
-    except (ValueError, TypeError) as e:
-        raise CorruptSnapshot(f"snapshot tables are unreadable: {e}") from None
-    return _encode(merged), (*tables, checksums)

@@ -14,8 +14,9 @@ import pytest
 from mobilehost.cli import main
 from mobilehost.manifest import load_manifest
 from mobilehost.notes import DEFAULT_SEED, load_seed_file, render_notes
+from mobilehost.transport import BindingConfig
 
-from conftest import free_port
+from conftest import free_port, make_host
 
 NOTES_RESULT = (
     "#A001;D002;LACKS;;0#A001;D002;FINAL TEST;;0#A001;D002;REPLACEMENT;;0"
@@ -186,6 +187,40 @@ class TestSecureInvoke:
         captured = capsys.readouterr()
         assert code == 1
         assert "signature: FAIL" in captured.err
+
+
+class TestUnreadableReplies:
+    """A reply the CLI cannot read is "error: ..." with exit 3."""
+
+    @pytest.mark.parametrize("command", ["describe", "invoke"])
+    def test_peer_that_does_not_speak_http_exit_3(self, tmp_path, capsys, command):
+        port = free_port()
+        host = make_host(tmp_path, BindingConfig(kind="rawTcp", port=port))
+        host.start()
+        try:
+            args = [command, f"http://127.0.0.1:{port}/CadastroEscolar.jws"]
+            code = main(args + ["obterNotas", "A001", "D002"] if command == "invoke" else args)
+        finally:
+            host.shutdown()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "BadStatusLine" in err
+
+    def test_reply_whose_body_is_a_call_exit_3(self, tmp_path, capsys):
+        port = free_port()
+        host = make_host(tmp_path, BindingConfig(kind="http", port=port))
+        host.start()
+        try:
+            # with its result element renamed, the response reads as a call
+            with tamper_proxy(port, b"obterNotasResult", b"obterNotasXesult") as proxy_port:
+                code = main(["invoke", f"http://127.0.0.1:{proxy_port}/CadastroEscolar.jws",
+                             "obterNotas", "A001", "D002"])
+        finally:
+            host.shutdown()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: unreadable response (status 200): its Body is neither a response "
+            "nor a fault\n")
 
 
 @contextlib.contextmanager
@@ -418,6 +453,18 @@ class TestOneWriterPerDataDir:
         assert second.returncode == 3
         assert "is in use by a running host" in second.stderr
 
+    def test_old_layout_data_dir_exits_3_and_is_kept(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "services.db").write_text('{"services": []}')
+        proc = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
+                       "--data-dir", str(data), "--demo-notes")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"error: {data / 'services.db'}: ")
+        assert "Traceback" not in proc.stderr
+        assert (data / "services.db").read_text() == '{"services": []}'
+        assert sorted(p.name for p in data.iterdir()) == ["lock", "services.db"]
+
     def test_secured_service_with_missing_keys_exits_3(self, tmp_path):
         with serve(tmp_path, "--demo-notes", "--demo-secure"):
             pass
@@ -464,6 +511,23 @@ class TestUsageErrors:
         proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
                        "--sign", "--key", str(bad), "--signer-cert", str(tmp_path / "me.cert"))
         self.assert_usage_error(proc)
+
+    @pytest.mark.parametrize("option, message", [
+        (["--bind", "ftp://x:1"], "unknown binding scheme: ftp"),
+        (["--pool-size", "0"], "workerPoolSize must be >= 1"),
+        (["--services", "MANIFEST"], "services[0] has no 'methods' field"),
+    ], ids=["bind scheme", "pool size", "manifest without methods"])
+    def test_serve_usage_error_exit_2(self, tmp_path, option, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('{"services": [{"serviceName": "S", "namespaceUri": "u",'
+                            ' "endpointPath": "/s"}]}')
+        option = [str(manifest) if arg == "MANIFEST" else arg for arg in option]
+        proc = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
+                       "--data-dir", str(tmp_path / "data"), *option)
+        self.assert_usage_error(proc, message)
+        if "--services" in option:
+            assert f"manifest {manifest}" in proc.stderr
+        assert not (tmp_path / "data").exists()
 
     def test_keygen_zero_days_exit_2(self, tmp_path):
         proc = run_cli("keygen", "Svc", "--keys-dir", str(tmp_path / "keys"), "--days", "0")

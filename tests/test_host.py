@@ -29,6 +29,7 @@ from mobilehost.errors import (
     MalformedSignature,
     MalformedXml,
     NotFound,
+    PathConflict,
     ValidationError,
 )
 from mobilehost.host import (
@@ -330,6 +331,20 @@ class TestSecurityGating:
         cert = secure_host.service_certificate("CadastroEscolar")
         assert verify_signature(body_canonical(resp.body), block, cert.public_key())
 
+    def test_secured_service_without_live_entry_fails_closed(self, secure_host, fig13_bytes):
+        # routed, but not (or no longer) live: no key to verify, decrypt or
+        # sign with, so a Server fault before any of them, never a reply
+        cert = secure_host.service_certificate("CadastroEscolar")
+        wrapped = encrypt_request(fig13_bytes, "http://localhost:5000/CadastroEscolar.jws", cert)
+        del secure_host._live["CadastroEscolar"]
+        for payload in (fig13_bytes, wrapped):
+            resp = secure_host.handle_request(soap_request(payload))
+            assert resp.status == 500
+            env = parse_envelope(resp.body)
+            assert (env.body.faultcode, env.body.faultstring) == (
+                "Server", "no handler attached to service")
+            assert env.header(SIGNATURE_HEADER) is None
+
     def test_encrypted_round_trip(self, secure_host, fig13_bytes):
         cert = secure_host.service_certificate("CadastroEscolar")
         wrapped = encrypt_request(
@@ -412,10 +427,10 @@ class TestCreateService:
     def test_identical_recreate_is_noop(self, tmp_path):
         host = make_host(tmp_path, secure_demo=True)
         before = host.registry.lookup_service("CadastroEscolar")
-        key_before = host._keys["CadastroEscolar"][0].modulus
+        key_before = host.service_certificate("CadastroEscolar").modulus
         again = host.create_service(notes_descriptor(True), NotesHandler())
         assert again is before
-        assert host._keys["CadastroEscolar"][0].modulus == key_before
+        assert host.service_certificate("CadastroEscolar").modulus == key_before
 
     def test_changed_signature_is_duplicate(self, tmp_path):
         host = make_host(tmp_path)
@@ -486,7 +501,8 @@ class TestLifecycle:
         revived = make_host(tmp_path, with_demo=False)
         assert revived.registry.lookup_service("CadastroEscolar").keySetId == "CadastroEscolar"
         assert revived.registry.check_access("u", "pw", "CadastroEscolar")
-        assert "CadastroEscolar" in revived._keys
+        # NotFound unless the keys were restored
+        assert revived.service_certificate("CadastroEscolar").subjectDN == "CadastroEscolar/"
 
     def test_shutdown_writes_nothing(self, tmp_path, monkeypatch):
         host = make_host(tmp_path)
@@ -632,12 +648,27 @@ class TestWebBranch:
         assert self.get(demo_host, "/CadastroEscolar.jws", "cert").status == 404
 
     def test_removed_service_leaves_no_key_or_lock(self, tmp_path):
-        host = make_host(tmp_path, with_demo=False)
-        host.create_service(simple_descriptor(secure=True, exclusive=True), UpperHandler())
-        host.remove_service("Echoish")
-        host.create_service(simple_descriptor(), UpperHandler())
-        assert self.get(host, "/Echoish.jws", "cert").status == 404
-        assert "Echoish" not in host._service_locks
+        # a secured, exclusive Echoish is refused after its keys were made
+        # (another service holds its path), or registered and removed; an
+        # unsecured Echoish then takes its place
+        for gone in ("refused", "removed"):
+            host = make_host(tmp_path / gone, with_demo=False)
+            secured = simple_descriptor(secure=True, exclusive=True)
+            if gone == "refused":
+                holder = dataclasses.replace(simple_descriptor("Holder"),
+                                             endpointPath="/Echoish.jws")
+                host.create_service(holder, UpperHandler())
+                with pytest.raises(PathConflict):
+                    host.create_service(secured, UpperHandler())
+                host.remove_service("Holder")
+            else:
+                host.create_service(secured, UpperHandler())
+                host.remove_service("Echoish")
+            host.create_service(simple_descriptor(), UpperHandler())
+            assert self.get(host, "/Echoish.jws", "cert").status == 404, gone
+            with pytest.raises(NotFound):
+                host.service_certificate("Echoish")
+            assert host._live["Echoish"].lock is None
 
     def test_unknown_path_404(self, demo_host):
         assert self.get(demo_host, "/index.html").status == 404

@@ -305,21 +305,6 @@ class TestPersistence:
         assert not loaded.check_access("aluno1", "wrong", "CadastroEscolar")
 
 
-def write_old_layout(directory) -> None:
-    """Rewrite the registry saved in directory the way it was saved before
-    state.db: services.db and users.db as JSON tables, plus a
-    sha256sum-style checksums file."""
-    state = directory / "state.db"
-    tables = json.loads(state.read_bytes().partition(b"\n")[2])
-    state.unlink()
-    checks = ""
-    for name, key in (("services.db", "services"), ("users.db", "users")):
-        blob = json.dumps({key: tables[key]}, indent=1, sort_keys=True)
-        (directory / name).write_text(blob, encoding="utf-8")
-        checks += f"{hashlib.sha256(blob.encode('utf-8')).hexdigest()}  {name}\n"
-    (directory / "checksums").write_text(checks)
-
-
 class TestBoundRegistry:
     """A registry loaded from a data dir saves every change there."""
 
@@ -376,29 +361,24 @@ class TestBoundRegistry:
         assert "Alpha" not in {r.descriptor.serviceName
                                for r in Registry.load_snapshot(tmp_path).list_services()}
 
-    def test_old_layout_is_read_once_and_replaced(self, tmp_path):
+    @pytest.mark.parametrize("present, named", [
+        (("services.db",), "services.db"),
+        (("users.db",), "users.db"),
+        (("checksums",), "checksums"),
+        (("services.db", "users.db", "checksums"), "services.db"),
+    ], ids=["services.db", "users.db", "checksums", "all three"])
+    def test_old_layout_is_refused_and_kept(self, tmp_path, present, named):
+        # the layout before state.db: two JSON tables and a checksums file
         reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
-        write_old_layout(tmp_path)
-        loaded = Registry.load_snapshot(tmp_path)
-        self.assert_equal_state(reg, loaded)
-        assert [p.name for p in tmp_path.iterdir()] == ["state.db"]
-        self.assert_equal_state(reg, Registry.load_snapshot(tmp_path))
-        loaded.add_user(make_user("late", "pw", "dev", {"*"}))
-        assert Registry.load_snapshot(tmp_path).get_user("late") is not None
-
-    @pytest.mark.parametrize("damage", ["truncate", "no checksums", "no users table"])
-    def test_corrupt_old_layout_is_refused_and_kept(self, tmp_path, damage):
-        reg = Registry.load_snapshot(tmp_path)
-        self.fill(reg)
-        write_old_layout(tmp_path)
-        if damage == "truncate":
-            services = tmp_path / "services.db"
-            services.write_bytes(services.read_bytes()[:40])
-        else:
-            (tmp_path / {"no checksums": "checksums",
-                         "no users table": "users.db"}[damage]).unlink()
+        tables = json.loads((tmp_path / "state.db").read_bytes().partition(b"\n")[2])
+        (tmp_path / "state.db").unlink()
+        old = {"services.db": json.dumps({"services": tables["services"]}),
+               "users.db": json.dumps({"users": tables["users"]}),
+               "checksums": "0" * 64 + "  services.db\n"}
+        for name in present:
+            (tmp_path / name).write_text(old[name])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        with pytest.raises(CorruptSnapshot):
+        with pytest.raises(CorruptSnapshot, match=named):
             Registry.load_snapshot(tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
