@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IoFailure, OSError) as e:
+    except (IoFailure, OSError) as e:  # a file, the data dir or the network
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
 
@@ -344,12 +344,7 @@ def cmd_invoke(args) -> int:
         env = signed_envelope(env, private_key, signer_cert_text)
     payload = serialize_envelope(env)
 
-    try:
-        status, body = http_request(args.url, payload, timeout=args.timeout)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-
+    status, body = http_request(args.url, payload, timeout=args.timeout)
     try:
         envelope = parse_envelope(body)
     except (MalformedXml, NotSoap, UnsupportedType) as e:
@@ -379,11 +374,7 @@ def cmd_invoke(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    try:
-        status, body = http_request(f"{args.url}?wsdl", timeout=args.timeout)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    status, body = http_request(f"{args.url}?wsdl", timeout=args.timeout)
     if status != 200:
         print(f"error: WSDL fetch failed with status {status}", file=sys.stderr)
         return EXIT_IO

@@ -17,12 +17,10 @@ the pipeline without a response: any other exception is answered with
 a Server "internal host error" and logged with its traceback.
 
 Each registered service has one live entry (``_LiveService``): its
-handler, its key pair and certificate iff it is secured, and its lock
-iff it runs exclusively. ``Host`` builds the entry whole, publishes it
-only once the registry holds the record, replaces it in one assignment
-and drops it in one pop, and a request reads it once. A secured service
-fails closed: routed to with no entry, it gets a Server fault before
-any verify, decrypt or execute, never an unsigned reply.
+handler, its keys iff secured and its lock iff exclusive. It is
+published once the registry holds the record, and a request reads it
+once. A secured service routed to with no entry fails closed: a Server
+fault before any verify, decrypt or execute, never an unsigned reply.
 
 Wire conventions owned here (see docs/wire-format.md):
 
@@ -291,6 +289,9 @@ class Host:
             raise IoFailure(f"cannot create host directories: {e}") from None
         self.keystore = KeyStore(cfg.dataDir / "keys")
         self._live: dict = {}  # serviceName -> _LiveService
+        # create, attach and remove hold it, so each changes the registry
+        # and the live table as one step; requests read without it
+        self._manage_lock = threading.RLock()
         self._listeners: list = []
         for rec in self.registry.list_services():
             self._live[rec.descriptor.serviceName] = self._live_service(
@@ -375,37 +376,40 @@ class Host:
         crash the saved state never names key material that is missing;
         the live entry is published only after the registry took the
         record, so a refused one leaves nothing behind."""
-        name = desc.serviceName
-        try:
-            existing = self.registry.lookup_service(name)
-        except NotFound:
-            existing = None
-        if existing is not None:
-            if descriptor_fingerprint(existing.descriptor) == descriptor_fingerprint(desc):
-                self.attach_handler(name, handler)
-                return existing
-            raise DuplicateService(
-                f"service {name} already exists with a different signature"
-            )
+        with self._manage_lock:
+            name = desc.serviceName
+            try:
+                existing = self.registry.lookup_service(name)
+            except NotFound:
+                existing = None
+            if existing is not None:
+                if descriptor_fingerprint(existing.descriptor) == descriptor_fingerprint(desc):
+                    self.attach_handler(name, handler)
+                    return existing
+                raise DuplicateService(
+                    f"service {name} already exists with a different signature"
+                )
 
-        key_set_id = name if desc.securityEnabled else None
-        live = self._live_service(desc, key_set_id, handler, issue=True)
-        doc = generate_wsdl(desc, self._endpoint_url(desc))
-        store_wsdl(doc, self.cfg.wsdlDir)
-        rec = ServiceRecord(
-            descriptor=desc, wsdl=doc, keySetId=key_set_id, createdAt=time.time()
-        )
-        self.registry.register_service(rec)
-        self._live[name] = live
-        return rec
+            key_set_id = name if desc.securityEnabled else None
+            live = self._live_service(desc, key_set_id, handler, issue=True)
+            doc = generate_wsdl(desc, self._endpoint_url(desc))
+            store_wsdl(doc, self.cfg.wsdlDir)
+            rec = ServiceRecord(
+                descriptor=desc, wsdl=doc, keySetId=key_set_id, createdAt=time.time()
+            )
+            self.registry.register_service(rec)
+            self._live[name] = live
+            return rec
 
     def attach_handler(self, service_name: str, handler: ServiceHandler) -> None:
-        self.registry.lookup_service(service_name)  # NotFound if absent
-        self._live[service_name] = replace(self._live[service_name], handler=handler)
+        with self._manage_lock:
+            self.registry.lookup_service(service_name)  # NotFound if absent
+            self._live[service_name] = replace(self._live[service_name], handler=handler)
 
     def remove_service(self, name: str) -> None:
-        self.registry.remove_service(name)
-        self._live.pop(name, None)
+        with self._manage_lock:
+            self.registry.remove_service(name)
+            self._live.pop(name, None)
 
     def service_certificate(self, name: str) -> security.Certificate:
         live = self._live.get(name)

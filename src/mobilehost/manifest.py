@@ -58,13 +58,18 @@ def load_manifest(path):
         raise IoFailure(f"cannot read manifest {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"manifest {path} is not valid JSON: {e}") from None
+    entries = data.get("services", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f'manifest {path} is not {{"services": [...]}}')
     services = []
-    for i, item in enumerate(data.get("services", [])):
+    for i, item in enumerate(entries):
         try:
             descriptor = descriptor_from_dict(item)
         except KeyError as e:
             raise ValueError(
                 f"manifest {path}: services[{i}] has no {e.args[0]!r} field") from None
+        except (TypeError, AttributeError) as e:
+            raise ValueError(f"manifest {path}: services[{i}] is malformed: {e}") from None
         handler_name = item.get("handler", "echo")
         factory = BUILTIN_HANDLERS.get(handler_name)
         if factory is None:

@@ -512,15 +512,18 @@ class TestUsageErrors:
                        "--sign", "--key", str(bad), "--signer-cert", str(tmp_path / "me.cert"))
         self.assert_usage_error(proc)
 
-    @pytest.mark.parametrize("option, message", [
-        (["--bind", "ftp://x:1"], "unknown binding scheme: ftp"),
-        (["--pool-size", "0"], "workerPoolSize must be >= 1"),
-        (["--services", "MANIFEST"], "services[0] has no 'methods' field"),
-    ], ids=["bind scheme", "pool size", "manifest without methods"])
-    def test_serve_usage_error_exit_2(self, tmp_path, option, message):
+    @pytest.mark.parametrize("option, message, manifest_text", [
+        (["--bind", "ftp://x:1"], "unknown binding scheme: ftp", ""),
+        (["--pool-size", "0"], "workerPoolSize must be >= 1", ""),
+        (["--services", "MANIFEST"], "services[0] has no 'methods' field",
+         '{"services": [{"serviceName": "S", "namespaceUri": "u", "endpointPath": "/s"}]}'),
+        (["--services", "MANIFEST"], "services[0] is malformed", '{"services": [1]}'),
+        (["--services", "MANIFEST"], 'is not {"services": [...]}', "[]"),
+    ], ids=["bind scheme", "pool size", "manifest without methods",
+            "manifest entry not an object", "manifest not an object"])
+    def test_serve_usage_error_exit_2(self, tmp_path, option, message, manifest_text):
         manifest = tmp_path / "m.json"
-        manifest.write_text('{"services": [{"serviceName": "S", "namespaceUri": "u",'
-                            ' "endpointPath": "/s"}]}')
+        manifest.write_text(manifest_text)
         option = [str(manifest) if arg == "MANIFEST" else arg for arg in option]
         proc = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
                        "--data-dir", str(tmp_path / "data"), *option)

@@ -8,6 +8,7 @@ import logging
 import random
 import shutil
 import socket
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -750,6 +751,43 @@ class TestConcurrencyAndDeployment:
             t.join()
         assert parse_envelope(resp.body).body.result.value == "ABC"
         assert not errors
+
+    def test_attach_racing_remove_leaves_no_live_entry(self, tmp_path):
+        # attach_handler replaces the live entry it read; a remove in
+        # between must not be undone, and attach sees NotFound, not KeyError
+        host = make_host(tmp_path, with_demo=False)
+        host.create_service(simple_descriptor(), UpperHandler())
+        deadline = time.monotonic() + 1.0
+        stale = []
+
+        def attach():
+            while time.monotonic() < deadline:
+                try:
+                    host.attach_handler("Echoish", UpperHandler())
+                except NotFound:
+                    pass
+
+        def churn():
+            while time.monotonic() < deadline:
+                host.remove_service("Echoish")
+                time.sleep(0)
+                if "Echoish" in host._live:
+                    stale.append(True)
+                host.create_service(simple_descriptor(), UpperHandler())
+
+        threads = [threading.Thread(target=attach) for _ in range(3)]
+        threads.append(threading.Thread(target=churn))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not stale
 
     def test_remove_during_traffic_client_faults_after(self, demo_host, fig13_bytes):
         demo_host.remove_service("CadastroEscolar")

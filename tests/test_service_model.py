@@ -114,8 +114,11 @@ class TestValidateCall:
         sig = desc.methods[0]
         good = call_for(sig)
 
+        unknown = sig.name + "X"
+        while any(m.name == unknown for m in desc.methods):  # e.g. methods A and AX
+            unknown += "X"
         renamed = dataclasses.replace(
-            good, operation=QName(sig.name + "X", good.operation.namespaceUri)
+            good, operation=QName(unknown, good.operation.namespaceUri)
         )
         with pytest.raises(UnknownMethod):
             validate_call(desc, renamed)
