@@ -317,4 +317,3 @@ def _decode_state(blob: bytes) -> dict:
         return json.loads(body)
     except ValueError as e:
         raise CorruptSnapshot(f"{STATE_FILE}: {e}") from None
-
