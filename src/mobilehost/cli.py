@@ -2,7 +2,9 @@
 
 Commands: serve, invoke, describe, keygen, cert show, users add.
 Exit codes: 0 success, 1 remote fault or failed operation, 2 usage
-error, 3 I/O or network error.
+error, 3 I/O or network error. ``main`` maps every ``MobileHostError``
+and ``OSError`` a command lets through to 3; a command returns the
+other codes itself.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from . import security
+from .canonical import parse_xml
 from .errors import (
     DuplicateUser,
     IoFailure,
@@ -46,6 +49,7 @@ from .notes import NotesHandler, load_seed_file, notes_descriptor
 from .registry import Registry, make_user, password_proof
 from .security import KeyStore
 from .soap import (
+    SOAP_ENC_NS,
     QName,
     SoapCall,
     SoapEnvelope,
@@ -57,7 +61,7 @@ from .soap import (
     parse_envelope,
     serialize_envelope,
 )
-from .transport import BindingConfig
+from .transport import DEFAULT_POOL_SIZE, BindingConfig
 from .wsdl import parse_wsdl
 
 EXIT_OK = 0
@@ -65,15 +69,13 @@ EXIT_FAULT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-SOAP_ENCODING = "http://schemas.xmlsoap.org/soap/encoding/"
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IoFailure, OSError) as e:  # a file, the data dir or the network
+    except (MobileHostError, OSError) as e:  # a file, the data dir or the network
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
 
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--wsdl-dir", default=None)
     serve.add_argument("--web-root", default=None)
     serve.add_argument("--auth-required", action="store_true")
-    serve.add_argument("--pool-size", type=int, default=32)
+    serve.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
     serve.add_argument("--services", default=None, help="service manifest (JSON)")
     serve.add_argument("--demo-notes", action="store_true",
                        help="register the grades demo service")
@@ -205,14 +207,10 @@ def cmd_serve(args) -> int:
     if lock is None:
         return EXIT_IO
     try:
-        try:
-            host = Host(cfg)
-            for descriptor, handler in services:
-                host.create_service(descriptor, handler)
-            host.start()
-        except (MobileHostError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_IO
+        host = Host(cfg)
+        for descriptor, handler in services:
+            host.create_service(descriptor, handler)
+        host.start()
         for binding in host.cfg.bindings:
             print(f"listening on {binding.kind}://{binding.address}:{binding.port}")
         print("ready", flush=True)
@@ -266,17 +264,19 @@ def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) 
         conn.close()
 
 
-def fetch_descriptor(url: str, timeout: float = 10.0):
+def fetch_wsdl(url: str, timeout: float = 10.0) -> bytes:
     status, body = http_request(f"{url}?wsdl", timeout=timeout)
     if status != 200:
         raise IoFailure(f"WSDL fetch failed with status {status}")
-    return parse_wsdl(body)
+    return body
 
 
 def build_call_envelope(descriptor, method: str, params: list) -> SoapEnvelope:
     """Type positional string arguments against the WSDL signature and
     build the request envelope. Unknown methods and extra arguments travel
-    as strings so the host gets to issue the fault."""
+    as strings so the host gets to issue the fault. A method name that is
+    no XML name, or an argument that does not fit its declared type, is a
+    ValueError: a usage error."""
     try:
         sig = descriptor.method(method)
         specs = list(sig.params)
@@ -288,14 +288,17 @@ def build_call_envelope(descriptor, method: str, params: list) -> SoapEnvelope:
             name, xsd_type = specs[i].name, specs[i].xsdType
         else:
             name, xsd_type = f"arg{i}", XsdType.STRING
-        typed.append((name, TypedValue.parse(xsd_type, raw)))
+        try:
+            typed.append((name, TypedValue.parse(xsd_type, raw)))
+        except MalformedXml as e:
+            raise ValueError(str(e)) from None
     call = SoapCall(
         operation=QName(method, descriptor.namespaceUri),
         params=tuple(typed),
         id="o0",
         rootAttr="1",
     )
-    return SoapEnvelope(body=call, encodingStyle=SOAP_ENCODING)
+    return SoapEnvelope(body=call, encodingStyle=SOAP_ENC_NS)
 
 
 def cmd_invoke(args) -> int:
@@ -320,15 +323,12 @@ def cmd_invoke(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        descriptor = fetch_descriptor(args.url, timeout=args.timeout)
+        descriptor = parse_wsdl(fetch_wsdl(args.url, timeout=args.timeout))
         env = build_call_envelope(descriptor, args.method, args.params)
     except (MalformedXml, UnsupportedWsdl) as e:
         print(f"error: unusable WSDL: {e}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, IoFailure, MobileHostError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
+    except ValueError as e:  # the URL, the method name or an argument
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -346,14 +346,15 @@ def cmd_invoke(args) -> int:
 
     status, body = http_request(args.url, payload, timeout=args.timeout)
     try:
-        envelope = parse_envelope(body)
+        root = parse_xml(body)
+        envelope = parse_envelope(root)
     except (MalformedXml, NotSoap, UnsupportedType) as e:
         print(f"error: unreadable response (status {status}): {e}", file=sys.stderr)
         return EXIT_IO
 
     verdict_ok = True
     if service_cert is not None:
-        verdict = verify_envelope_signature(body, service_cert)
+        verdict = verify_envelope_signature(root, service_cert)
         if verdict is None:
             print("signature: NONE", file=sys.stderr)
         else:
@@ -374,11 +375,7 @@ def cmd_invoke(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    status, body = http_request(f"{args.url}?wsdl", timeout=args.timeout)
-    if status != 200:
-        print(f"error: WSDL fetch failed with status {status}", file=sys.stderr)
-        return EXIT_IO
-    sys.stdout.write(body.decode("utf-8"))
+    sys.stdout.write(fetch_wsdl(args.url, timeout=args.timeout).decode("utf-8"))
     return EXIT_OK
 
 
@@ -405,12 +402,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_cert_show(args) -> int:
-    path = Path(args.keys_dir) / f"{args.name}.cert"
-    if not path.exists():
-        print(f"error: no certificate for {args.name} in {args.keys_dir}",
-              file=sys.stderr)
-        return EXIT_IO
-    sys.stdout.write(path.read_text())
+    sys.stdout.write((Path(args.keys_dir) / f"{args.name}.cert").read_text())
     return EXIT_OK
 
 

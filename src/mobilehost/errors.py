@@ -5,7 +5,9 @@ code: caller mistakes (codec and validation errors, unknown services,
 denied access, bad signatures, undecryptable requests) are ``Client``
 faults, everything else is ``Server``. The host's SOAP pipeline calls
 it in one place; the error's message becomes the faultstring and its
-``detail`` the fault detail.
+``detail`` the fault detail. Those two are all an error carries: the
+validation errors build their message from their arguments and keep
+none of them.
 """
 
 from __future__ import annotations
@@ -44,14 +46,11 @@ class ValidationError(MobileHostError):
 class UnknownMethod(ValidationError):
     def __init__(self, name: str):
         super().__init__(f"unknown method: {name}")
-        self.name = name
 
 
 class ArityMismatch(ValidationError):
     def __init__(self, expected: int, got: int):
         super().__init__(f"expected {expected} parameter(s), got {got}")
-        self.expected = expected
-        self.got = got
 
 
 class NameMismatch(ValidationError):
@@ -59,9 +58,6 @@ class NameMismatch(ValidationError):
         super().__init__(
             f"parameter {position}: expected name '{expected}', got '{got}'"
         )
-        self.position = position
-        self.expected = expected
-        self.got = got
 
 
 class TypeMismatch(ValidationError):
@@ -69,16 +65,11 @@ class TypeMismatch(ValidationError):
         super().__init__(
             f"parameter '{param_name}': expected {expected}, got {got}"
         )
-        self.param_name = param_name
-        self.expected = expected
-        self.got = got
 
 
 class ReturnTypeMismatch(MobileHostError):
     def __init__(self, expected: str, got: str):
         super().__init__(f"handler returned {got}, signature declares {expected}")
-        self.expected = expected
-        self.got = got
 
 
 class UnencodableResult(MobileHostError):
@@ -146,10 +137,8 @@ class MalformedSignature(MobileHostError):
 class DecryptFailure(MobileHostError):
     # one message for every cause so a wrong key is indistinguishable
     # from a corrupt envelope
-    MESSAGE = "decryption failed"
-
     def __init__(self) -> None:
-        super().__init__(self.MESSAGE)
+        super().__init__("decryption failed")
 
 
 # --- transport -----------------------------------------------------------

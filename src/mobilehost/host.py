@@ -35,7 +35,9 @@ Wire conventions owned here (see docs/wire-format.md):
   they travel in, so header insertion never invalidates them. The host
   signs a reply's model before serializing it
   (``soap.serialize_body_canonical``) and checks a request's signature
-  on the tree ``handle_request`` parsed, so no envelope is parsed twice;
+  on the tree ``handle_request`` parsed, so no envelope is parsed twice.
+  A request's signature and a reply's (``verify_envelope_signature``,
+  which also takes a parsed root) go through one verify step;
 * ``Auth`` and ``Signature`` are read from the header entry elements of
   that tree, each field as the entry's canonical form carries it
   (``canonical.canonical_text``);
@@ -116,7 +118,7 @@ class HostConfig:
     wsdlDir: Optional[Path] = None
     webRoot: Optional[Path] = None
     authRequired: bool = False
-    workerPoolSize: int = 32
+    workerPoolSize: int = transport.DEFAULT_POOL_SIZE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bindings", tuple(self.bindings))
@@ -224,18 +226,25 @@ def signed_envelope(env: SoapEnvelope, private_key,
     )
 
 
-def verify_envelope_signature(envelope_xml: bytes, cert: security.Certificate):
-    """True/False per the embedded signature; None if there is none."""
+def verify_envelope_signature(envelope, cert: security.Certificate) -> Optional[bool]:
+    """True/False per the embedded signature; None if there is none.
+    ``envelope`` is the serialized bytes or the root parse_xml made of them."""
     try:
-        root = parse_xml(envelope_xml)
+        root = envelope if isinstance(envelope, ET.Element) else parse_xml(envelope)
         entry = parse_envelope(root).header(SIGNATURE_HEADER)
         if entry is None:
             return None
-        block, _ = parse_signature_header(entry)
-        return security.verify_signature(
-            tree_body_canonical(root), block, cert.public_key()
-        )
+        return _body_signed(root, parse_signature_header(entry)[0], cert)
     except MobileHostError:
+        return False
+
+
+def _body_signed(root: ET.Element, block: SignatureBlock, cert: security.Certificate) -> bool:
+    """Whether block signs root's canonical Body bytes under cert: the
+    one verify step of requests and replies."""
+    try:
+        return security.verify_signature(tree_body_canonical(root), block, cert.public_key())
+    except MalformedSignature:
         return False
 
 
@@ -576,11 +585,7 @@ def _verify_inbound_signature(root, env: SoapEnvelope) -> None:
         raise MalformedSignature("unreadable signer certificate") from None
     if not security.verify_certificate(cert):
         raise MalformedSignature("invalid signer certificate")
-    try:
-        ok = security.verify_signature(tree_body_canonical(root), block, cert.public_key())
-    except MalformedSignature:
-        ok = False
-    if not ok:
+    if not _body_signed(root, block, cert):
         raise MalformedSignature("signature verification failed")
 
 

@@ -7,7 +7,8 @@ memory, so a write that fails changes nothing and a change that
 returned survives a crash. Mutations serialize on a write lock of their
 own; lookups and the request log take only the table lock, held just
 to read or swap a record, so a request never waits on the disk. The
-request log stays in memory. ``Registry()`` is in memory only.
+request log stays in memory and keeps the last ``DEFAULT_LOG_CAPACITY``
+entries. ``Registry()`` is in memory only.
 
 ``state.db``: the first line is the SHA-256 hex digest of the bytes
 after it; the rest is ``{"services": [...], "users": [...]}`` as JSON
@@ -111,14 +112,14 @@ def make_user(login: str, password: str, device_id: str, allowed_services) -> Us
 
 
 class Registry:
-    def __init__(self, log_capacity: int = DEFAULT_LOG_CAPACITY):
+    def __init__(self):
         self._lock = threading.RLock()
         self._write_lock = threading.Lock()
         self._directory: Optional[Path] = None
         self._by_name: dict = {}
         self._by_path: dict = {}
         self._users: dict = {}
-        self._log = collections.deque(maxlen=log_capacity)
+        self._log = collections.deque(maxlen=DEFAULT_LOG_CAPACITY)
 
     # --- services ---------------------------------------------------------
 
@@ -197,9 +198,6 @@ class Registry:
             return False
         return "*" in user.allowedServices or service_name in user.allowedServices
 
-    def check_access(self, login: str, password: str, service_name: str) -> bool:
-        return self.check_access_proof(login, password_proof(password), service_name)
-
     # --- request log ----------------------------------------------------------
 
     def append_log(self, entry: RequestLogEntry) -> None:
@@ -237,13 +235,13 @@ class Registry:
             write_file(self._directory / STATE_FILE, _state_bytes(services, users))
 
     @classmethod
-    def load_snapshot(cls, directory, log_capacity: int = DEFAULT_LOG_CAPACITY) -> "Registry":
+    def load_snapshot(cls, directory) -> "Registry":
         """The registry saved in ``directory``, bound to it: every later
         mutation is written there before it applies. Empty if the
         directory holds no state."""
         directory = Path(directory)
         state = directory / STATE_FILE
-        reg = cls(log_capacity=log_capacity)
+        reg = cls()
         try:
             reg._fill(_decode_state(state.read_bytes()))
         except FileNotFoundError:

@@ -6,6 +6,9 @@ fixed line order (banner, type, serial as colon-separated octets,
 subject and issuer DNs, start and final dates, RSA modulus and exponent
 as decimal digit runs, then the self-signature). The rendering is
 bit-exact and parses back to an equal certificate.
+
+``KeyStore`` keeps each service's key pair and certificate as two
+files; one it cannot read is an ``IoFailure`` that names the file.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 
 from .durable import write_file
 from .errors import DecryptFailure, IoFailure, MalformedSignature
@@ -344,12 +347,19 @@ class KeyStore:
         write_file(self._cert_path(name), render_certificate_text(cert).encode("utf-8"))
 
     def load(self, name: str) -> tuple:
+        """(KeyPair, Certificate) of name. A file that is missing, or that
+        holds no RSA private key or no certificate text, is an IoFailure
+        naming the file."""
+        path = self._key_path(name)
         try:
-            pem = self._key_path(name).read_bytes()
-            cert_text = self._cert_path(name).read_text()
-        except OSError as e:
+            priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
+            if not isinstance(priv, rsa.RSAPrivateKey):
+                raise ValueError("not an RSA private key")
+            path = self._cert_path(name)
+            cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
+        except OSError as e:  # its text names the file
             raise IoFailure(f"cannot read key material for {name}: {e}") from None
-        priv = serialization.load_pem_private_key(pem, password=None)
-        cert = parse_certificate_text(cert_text)
+        except (ValueError, TypeError, UnsupportedAlgorithm) as e:
+            raise IoFailure(f"cannot read key material for {name}: {path}: {e}") from None
         kp = KeyPair(publicKey=priv.public_key(), privateKey=priv, bits=priv.key_size)
         return kp, cert

@@ -4,10 +4,12 @@ Three binding kinds share one dispatcher contract: the listener frames
 a request into an InboundRequest, hands it to a worker from a bounded
 pool, and writes back whatever OutboundResponse the dispatcher returns.
 Listeners only frame: they never parse the payload. The host decides
-what a request is (``classify_request``) and parses it once.
+what a request is (``classify_request``) and parses it once; a
+classification other than "soap" carries no tree.
 
 * ``http``: HTTP/1.1 subset — GET and POST, Content-Length required on
-  POST, one request per connection.
+  POST, one request per connection. A header line that starts with
+  whitespace or has whitespace before its colon is refused.
 * ``rawTcp``: a single length-prefixed frame each way,
   ``[len: u32 big-endian][payload]``; stands in for stream transports
   without an addressing layer.
@@ -126,23 +128,22 @@ def classify_request(
     headers: Optional[Mapping] = None,
     method: Optional[str] = None,
 ) -> tuple:
-    """(soap | web | malformed, parsed), per transport semantics.
+    """("soap", the Envelope root element), or ("web" | "malformed", None),
+    per transport semantics.
 
     With headers (HTTP): GET is web; a POST that declares XML (content
     type or SOAPAction) must carry an envelope, otherwise it is
-    malformed; any other POST is web. Without headers the payload must
-    be an envelope outright.
+    malformed; any other POST is web. ``method`` is compared as given:
+    the HTTP reader has already upper-cased it. Without headers the
+    payload must be an envelope outright.
 
-    ``parsed`` is what parsing the payload gave: its root element, the
-    MalformedXml parse_xml raised, or None if the payload was not parsed.
-    "soap" always comes with the Envelope root, and the host works on
-    that tree instead of parsing the payload again.
+    The payload is parsed at most once, and the host works on the root
+    this returns instead of parsing the payload again.
     """
     if len(payload) > MAX_PAYLOAD:
         return "malformed", None
     not_envelope = "malformed"  # the class of a payload that is no envelope
     if headers is not None:
-        method = (method or "").upper()
         if method == "GET":
             return "web", None
         if method != "POST":
@@ -158,12 +159,12 @@ def classify_request(
         if not ("xml" in content_type or soap_action):
             not_envelope = "web"
     try:
-        parsed = parse_xml(payload)
-    except MalformedXml as e:
-        return not_envelope, e
-    if parsed.tag == f"{{{SOAP_ENV_NS}}}Envelope":
-        return "soap", parsed
-    return not_envelope, parsed
+        root = parse_xml(payload)
+    except MalformedXml:
+        return not_envelope, None
+    if root.tag == f"{{{SOAP_ENV_NS}}}Envelope":
+        return "soap", root
+    return not_envelope, None
 
 
 # --- framing (rawTcp) -------------------------------------------------------
@@ -317,8 +318,12 @@ class HttpListener(_SocketListener):
             if len(line) == MAX_LINE and not line.endswith(b"\n"):
                 raise _Refused(431, "header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
+            # RFC 9112 sections 5.1 and 5.2: a proxy may read such a field
+            # by another name, or as part of the line before it
+            if name[:1] in (" ", "\t") or sep and name[-1:] in (" ", "\t"):
+                raise _Refused(400, "whitespace around header field name")
             if sep:
-                name, value = name.strip().lower(), value.strip()
+                name, value = name.lower(), value.strip()
                 headers[name] = value
                 if name == "content-length":
                     lengths.add(value)

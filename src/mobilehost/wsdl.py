@@ -17,12 +17,10 @@ from .canonical import parse_xml
 from .durable import write_file
 from .errors import UnsupportedWsdl
 from .service import MethodSignature, ParameterSpec, ServiceDescriptor
-from .soap import XsdType, _attr
+from .soap import SOAP_ENC_NS, XSD_NS, XsdType, _attr
 
 WSDL_NS = "http://schemas.xmlsoap.org/wsdl/"
 WSDL_SOAP_NS = "http://schemas.xmlsoap.org/wsdl/soap/"
-XSD_NS = "http://www.w3.org/2001/XMLSchema"
-SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 SOAP_HTTP_TRANSPORT = "http://schemas.xmlsoap.org/soap/http"
 
 _XSD_BY_NAME = {t.value: t for t in XsdType}

@@ -2,6 +2,7 @@
 users add, and the documented exit codes."""
 
 import contextlib
+import pyexpat
 import socket
 import subprocess
 import sys
@@ -187,6 +188,26 @@ class TestSecureInvoke:
         captured = capsys.readouterr()
         assert code == 1
         assert "signature: FAIL" in captured.err
+
+    def test_signed_reply_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        # expat parsers made in this process: the host runs in its own
+        created = []
+        parser_create = pyexpat.ParserCreate
+
+        def counting(*args, **kwargs):
+            created.append(args)
+            return parser_create(*args, **kwargs)
+
+        with serve(tmp_path, "--demo-notes", "--demo-secure") as port:
+            cert_file = self.fetch_cert(tmp_path, port)
+            monkeypatch.setattr(pyexpat, "ParserCreate", counting)
+            code = main([
+                "invoke", f"http://127.0.0.1:{port}/CadastroEscolar.jws",
+                "obterNotas", "A001", "D002", "--cert", str(cert_file),
+            ])
+        assert code == 0
+        assert "signature: OK" in capsys.readouterr().err
+        assert len(created) == 2  # the WSDL, then the reply
 
 
 class TestUnreadableReplies:
@@ -391,6 +412,7 @@ class TestKeyAndUserCommands:
 
     def test_cert_show_missing_exit_3(self, tmp_path, capsys):
         assert main(["cert", "show", "Ghost", "--keys-dir", str(tmp_path)]) == 3
+        assert str(tmp_path / "Ghost.cert") in capsys.readouterr().err
 
     def test_users_add_then_authenticated_invoke(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -474,6 +496,19 @@ class TestOneWriterPerDataDir:
         assert proc.returncode == 3
         assert "CadastroEscolar.key" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["CadastroEscolar.cert", "CadastroEscolar.key"])
+    def test_secured_service_with_corrupt_key_file_exits_3(self, tmp_path, name):
+        with serve(tmp_path, "--demo-notes", "--demo-secure"):
+            pass
+        corrupt = tmp_path / "data" / "keys" / name
+        corrupt.write_text("not key material\n")
+        proc = run_cli("serve", "--bind", f"http://127.0.0.1:{free_port()}",
+                       "--data-dir", str(tmp_path / "data"), "--demo-notes", "--demo-secure")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(
+            f"error: cannot read key material for CadastroEscolar: {corrupt}: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestUsageErrors:
     def test_unknown_command_exit_2(self, capsys):
@@ -531,6 +566,32 @@ class TestUsageErrors:
         if "--services" in option:
             assert f"manifest {manifest}" in proc.stderr
         assert not (tmp_path / "data").exists()
+
+    def test_invoke_argument_that_does_not_fit_its_type_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "services.json"
+        manifest.write_text(
+            """
+            {"services": [{
+              "serviceName": "IntEcho",
+              "namespaceUri": "http://127.0.0.1:5000/IntEcho.jws",
+              "endpointPath": "/IntEcho.jws",
+              "responseNamespaceUri": "http://127.0.0.1:5000/IntEcho.jws",
+              "handler": "echo",
+              "methods": [{"name": "twice",
+                           "params": [{"name": "n", "type": "int"}],
+                           "returns": "int"}]
+            }]}
+            """
+        )
+        with serve(tmp_path, "--services", str(manifest)) as port:
+            call = ["invoke", f"http://127.0.0.1:{port}/IntEcho.jws", "twice"]
+            bad = main(call + ["seven"])
+            bad_err = capsys.readouterr().err
+            good = main(call + ["7"])
+        assert bad == 2
+        assert bad_err == "error: invalid xsd:int lexical value: 'seven'\n"
+        assert good == 0
+        assert capsys.readouterr().out == "7\n"
 
     def test_keygen_zero_days_exit_2(self, tmp_path):
         proc = run_cli("keygen", "Svc", "--keys-dir", str(tmp_path / "keys"), "--days", "0")

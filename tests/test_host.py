@@ -17,6 +17,8 @@ from datetime import datetime, timedelta, timezone
 import pyexpat
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -460,7 +462,7 @@ class TestLifecycle:
         revived = make_host(tmp_path, with_demo=False)
         rec = revived.registry.lookup_by_path("/CadastroEscolar.jws")
         assert rec.descriptor == notes_descriptor(True)
-        assert revived.registry.check_access("u", "pw", "Whatever")
+        assert revived.registry.check_access_proof("u", password_proof("pw"), "Whatever")
         # handler re-attachment via identical create_service is a no-op
         revived.create_service(notes_descriptor(True), NotesHandler())
         payload = call_envelope()
@@ -495,13 +497,34 @@ class TestLifecycle:
         with pytest.raises(IoFailure, match=named):
             make_host(tmp_path, with_demo=False)
 
+    @pytest.mark.parametrize("name, content, reason", [
+        ("CadastroEscolar.cert", b"not a certificate\n", "missing certificate banner"),
+        ("CadastroEscolar.cert", b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ("CadastroEscolar.key", b"not a key\n", ""),
+        ("CadastroEscolar.key", None, "not an RSA private key"),
+    ], ids=["cert text", "cert not UTF-8", "key not PEM", "key not RSA"])
+    def test_secured_service_with_corrupt_key_file_refuses_to_start(self, tmp_path, name,
+                                                                    content, reason):
+        if content is None:
+            content = ed25519.Ed25519PrivateKey.generate().private_bytes(
+                serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                serialization.NoEncryption())
+        host = make_host(tmp_path, secure_demo=True)
+        host.shutdown()
+        corrupt = tmp_path / "data" / "keys" / name
+        corrupt.write_bytes(content)
+        with pytest.raises(IoFailure) as exc:
+            make_host(tmp_path, with_demo=False)
+        assert str(exc.value).startswith(
+            f"cannot read key material for CadastroEscolar: {corrupt}: {reason}")
+
     def test_state_saved_without_shutdown(self, tmp_path):
         host = make_host(tmp_path, secure_demo=True)
         host.registry.add_user(make_user("u", "pw", "d", {"*"}))
         # no shutdown: the process could have been killed here
         revived = make_host(tmp_path, with_demo=False)
         assert revived.registry.lookup_service("CadastroEscolar").keySetId == "CadastroEscolar"
-        assert revived.registry.check_access("u", "pw", "CadastroEscolar")
+        assert revived.registry.check_access_proof("u", password_proof("pw"), "CadastroEscolar")
         # NotFound unless the keys were restored
         assert revived.service_certificate("CadastroEscolar").subjectDN == "CadastroEscolar/"
 

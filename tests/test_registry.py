@@ -18,6 +18,7 @@ from mobilehost.errors import (
 )
 from mobilehost.notes import notes_descriptor
 from mobilehost.registry import (
+    DEFAULT_LOG_CAPACITY,
     Registry,
     RequestLogEntry,
     ServiceRecord,
@@ -124,25 +125,26 @@ class TestUsers:
     def test_allow_with_right_password_and_service(self):
         reg = Registry()
         reg.add_user(make_user("aluno1", "pw", "dev1", {"CadastroEscolar"}))
-        assert reg.check_access("aluno1", "pw", "CadastroEscolar") is True
+        assert reg.check_access_proof("aluno1", password_proof("pw"), "CadastroEscolar") is True
 
     def test_wrong_password_denied(self):
         reg = Registry()
         reg.add_user(make_user("aluno1", "pw", "dev1", {"CadastroEscolar"}))
-        assert reg.check_access("aluno1", "wrong", "CadastroEscolar") is False
+        assert reg.check_access_proof(
+            "aluno1", password_proof("wrong"), "CadastroEscolar") is False
 
     def test_service_not_allowed_denied(self):
         reg = Registry()
         reg.add_user(make_user("aluno1", "pw", "dev1", {"CadastroEscolar"}))
-        assert reg.check_access("aluno1", "pw", "OtherService") is False
+        assert reg.check_access_proof("aluno1", password_proof("pw"), "OtherService") is False
 
     def test_wildcard_allows_everything(self):
         reg = Registry()
         reg.add_user(make_user("admin", "pw", "dev", {"*"}))
-        assert reg.check_access("admin", "pw", "Whatever") is True
+        assert reg.check_access_proof("admin", password_proof("pw"), "Whatever") is True
 
     def test_unknown_login_denied(self):
-        assert Registry().check_access("ghost", "pw", "Svc") is False
+        assert Registry().check_access_proof("ghost", password_proof("pw"), "Svc") is False
 
     def test_duplicate_login(self):
         reg = Registry()
@@ -175,11 +177,11 @@ class TestRequestLog:
         assert Registry().metrics_summary() == {}
 
     def test_ring_evicts_oldest(self):
-        reg = Registry(log_capacity=4)
-        for micros in range(5):
+        reg = Registry()
+        for micros in range(DEFAULT_LOG_CAPACITY + 1):
             reg.append_log(entry(micros=micros))
         kept = [e.durationMicros for e in reg.log_entries()]
-        assert kept == [1, 2, 3, 4]
+        assert kept == list(range(1, DEFAULT_LOG_CAPACITY + 1))
 
     def test_fault_rate(self):
         reg = Registry()
@@ -301,8 +303,9 @@ class TestPersistence:
         reg = Registry.load_snapshot(tmp_path)
         self.fill(reg)
         loaded = Registry.load_snapshot(tmp_path)
-        assert loaded.check_access("aluno1", "hunter2-sentinel", "CadastroEscolar")
-        assert not loaded.check_access("aluno1", "wrong", "CadastroEscolar")
+        assert loaded.check_access_proof(
+            "aluno1", password_proof("hunter2-sentinel"), "CadastroEscolar")
+        assert not loaded.check_access_proof("aluno1", password_proof("wrong"), "CadastroEscolar")
 
 
 class TestBoundRegistry:
@@ -320,7 +323,7 @@ class TestBoundRegistry:
         reg.add_user(make_user("late", "pw", "dev", {"Beta"}))
         loaded = Registry.load_snapshot(tmp_path)
         self.assert_equal_state(reg, loaded)
-        assert loaded.check_access("late", "pw", "Beta")
+        assert loaded.check_access_proof("late", password_proof("pw"), "Beta")
 
     def test_in_memory_registry_writes_nothing(self, tmp_path):
         reg = Registry()

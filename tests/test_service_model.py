@@ -66,7 +66,7 @@ class TestValidateCall:
         )
         with pytest.raises(ArityMismatch) as exc:
             validate_call(notes_descriptor(), call)
-        assert (exc.value.expected, exc.value.got) == (2, 1)
+        assert str(exc.value) == "expected 2 parameter(s), got 1"
 
     def test_arity_high(self):
         base = call_for(notes_descriptor().methods[0])
@@ -75,7 +75,7 @@ class TestValidateCall:
         )
         with pytest.raises(ArityMismatch) as exc:
             validate_call(notes_descriptor(), call)
-        assert (exc.value.expected, exc.value.got) == (2, 3)
+        assert str(exc.value) == "expected 2 parameter(s), got 3"
 
     def test_type_mismatch(self):
         call = SoapCall(
@@ -87,8 +87,7 @@ class TestValidateCall:
         )
         with pytest.raises(TypeMismatch) as exc:
             validate_call(notes_descriptor(), call)
-        assert exc.value.param_name == "codAluno"
-        assert (exc.value.expected, exc.value.got) == ("string", "int")
+        assert str(exc.value) == "parameter 'codAluno': expected string, got int"
 
     def test_name_mismatch(self):
         call = SoapCall(
@@ -100,7 +99,7 @@ class TestValidateCall:
         )
         with pytest.raises(NameMismatch) as exc:
             validate_call(notes_descriptor(), call)
-        assert exc.value.position == 0
+        assert str(exc.value) == "parameter 0: expected name 'codAluno', got 'studentCode'"
 
     @settings(max_examples=100, deadline=None)
     @given(service_descriptors())
