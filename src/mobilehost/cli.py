@@ -244,8 +244,10 @@ def _lock_data_dir(data_dir: Path) -> Optional[int]:
 
 def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) -> tuple:
     """GET the URL, or POST body to it as a SOAP payload; returns
-    (status, body bytes). A reply that is not HTTP is an IoFailure."""
+    (status, body bytes). A bad URL is a ValueError, a non-HTTP reply an IoFailure."""
     parts = urlsplit(url)
+    if not parts.hostname:
+        raise ValueError(f"no host in URL: {url}")
     target = parts.path or "/"
     if parts.query:
         target += f"?{parts.query}"
@@ -375,7 +377,12 @@ def cmd_invoke(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    sys.stdout.write(fetch_wsdl(args.url, timeout=args.timeout).decode("utf-8"))
+    try:
+        wsdl = fetch_wsdl(args.url, timeout=args.timeout)
+    except ValueError as e:  # the URL
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(wsdl.decode("utf-8"))
     return EXIT_OK
 
 

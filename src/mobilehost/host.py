@@ -16,11 +16,11 @@ becomes a Server "handler failure". No input byte sequence may leave
 the pipeline without a response: any other exception is answered with
 a Server "internal host error" and logged with its traceback.
 
-Each registered service has one live entry (``_LiveService``): its
-handler, its keys iff secured and its lock iff exclusive. It is
-published once the registry holds the record, and a request reads it
-once. A secured service routed to with no entry fails closed: a Server
-fault before any verify, decrypt or execute, never an unsigned reply.
+Requests find a service in one table keyed by endpoint path, with one
+lookup and no lock. Its live entry (``_LiveService``) holds the service
+record, the handler, the keys iff secured and the lock iff exclusive.
+It is built after the registry took the record, so a request finds all
+it needs in one entry or the path is an unknown service.
 
 Wire conventions owned here (see docs/wire-format.md):
 
@@ -281,6 +281,7 @@ def encrypted_carrier(plain_envelope: bytes, service_namespace: str,
 class _LiveService:
     """What a registered service needs at run time."""
 
+    record: ServiceRecord
     handler: Optional[ServiceHandler]
     keys: Optional[tuple]  # (KeyPair, Certificate) iff the service is secured
     lock: Optional[threading.Lock]  # iff it runs exclusively
@@ -297,35 +298,29 @@ class Host:
         except OSError as e:
             raise IoFailure(f"cannot create host directories: {e}") from None
         self.keystore = KeyStore(cfg.dataDir / "keys")
-        self._live: dict = {}  # serviceName -> _LiveService
+        self._services: dict = {}  # endpointPath -> _LiveService
         # create, attach and remove hold it, so each changes the registry
         # and the live table as one step; requests read without it
         self._manage_lock = threading.RLock()
         self._listeners: list = []
         for rec in self.registry.list_services():
-            self._live[rec.descriptor.serviceName] = self._live_service(
-                rec.descriptor, rec.keySetId, handler=None)
+            self._publish(rec, None, self._service_keys(rec.keySetId))
 
     # --- lifecycle -------------------------------------------------------
 
-    def _live_service(self, desc: ServiceDescriptor, key_set_id: Optional[str],
-                      handler: Optional[ServiceHandler], issue: bool = False) -> _LiveService:
-        """The live entry of a service. A secured service's keys come from
-        the key store; with issue, a key pair the store lacks is made and
-        saved first. Without it, missing key files are an IoFailure naming
-        the file: serving a secured service unsigned would be worse than
-        not starting."""
-        keys = None
-        if key_set_id is not None:
-            if issue and not self.keystore.has(key_set_id):
-                kp = security.generate_keypair()
-                cert = security.issue_certificate(kp, subjectDN=f"{key_set_id}/")
-                self.keystore.save(key_set_id, kp, cert)
-                keys = (kp, cert)
-            else:
-                keys = self._load_keys(key_set_id)
-        lock = threading.Lock() if desc.exclusiveExecution else None
-        return _LiveService(handler, keys, lock)
+    def _service_keys(self, key_set_id: Optional[str], issue: bool = False) -> Optional[tuple]:
+        """A secured service's (KeyPair, Certificate) from the key store,
+        None for an open one. With issue, a key pair the store lacks is made
+        and saved first. Without it, missing key files are an IoFailure naming
+        the file: serving a secured service unsigned is worse than not starting."""
+        if key_set_id is None:
+            return None
+        if issue and not self.keystore.has(key_set_id):
+            kp = security.generate_keypair()
+            cert = security.issue_certificate(kp, subjectDN=f"{key_set_id}/")
+            self.keystore.save(key_set_id, kp, cert)
+            return kp, cert
+        return self._load_keys(key_set_id)
 
     def _load_keys(self, key_set_id: str) -> tuple:
         """(KeyPair, Certificate) of a service. A certificate within
@@ -400,28 +395,35 @@ class Host:
                 )
 
             key_set_id = name if desc.securityEnabled else None
-            live = self._live_service(desc, key_set_id, handler, issue=True)
+            keys = self._service_keys(key_set_id, issue=True)
             doc = generate_wsdl(desc, self._endpoint_url(desc))
             store_wsdl(doc, self.cfg.wsdlDir)
             rec = ServiceRecord(
                 descriptor=desc, wsdl=doc, keySetId=key_set_id, createdAt=time.time()
             )
             self.registry.register_service(rec)
-            self._live[name] = live
+            self._publish(rec, handler, keys)
             return rec
+
+    def _publish(self, rec: ServiceRecord, handler: Optional[ServiceHandler],
+                 keys: Optional[tuple]) -> None:
+        lock = threading.Lock() if rec.descriptor.exclusiveExecution else None
+        self._services[rec.descriptor.endpointPath] = _LiveService(rec, handler, keys, lock)
 
     def attach_handler(self, service_name: str, handler: ServiceHandler) -> None:
         with self._manage_lock:
-            self.registry.lookup_service(service_name)  # NotFound if absent
-            self._live[service_name] = replace(self._live[service_name], handler=handler)
+            path = self.registry.lookup_service(service_name).descriptor.endpointPath
+            self._services[path] = replace(self._services[path], handler=handler)
 
     def remove_service(self, name: str) -> None:
         with self._manage_lock:
+            path = self.registry.lookup_service(name).descriptor.endpointPath
             self.registry.remove_service(name)
-            self._live.pop(name, None)
+            self._services.pop(path, None)
 
     def service_certificate(self, name: str) -> security.Certificate:
-        live = self._live.get(name)
+        with self._manage_lock:  # NotFound for an unknown name
+            live = self._services.get(self.registry.lookup_service(name).descriptor.endpointPath)
         if live is None or live.keys is None:
             raise NotFound(f"no key material for service: {name}")
         return live.keys[1]
@@ -447,17 +449,14 @@ class Host:
 
     def _handle_web(self, req: InboundRequest) -> OutboundResponse:
         if req.method == "GET" and req.query in ("wsdl", "cert"):
-            try:
-                rec = self.registry.lookup_by_path(req.path)
-            except NotFound:
+            live = self._services.get(req.path)
+            if live is None:
                 return _plain(404, "no such service")
             if req.query == "wsdl":
-                return OutboundResponse(200, XML_CONTENT_TYPE, rec.wsdl.xmlText)
-            try:
-                cert = self.service_certificate(rec.descriptor.serviceName)
-            except NotFound:
+                return OutboundResponse(200, XML_CONTENT_TYPE, live.record.wsdl.xmlText)
+            if live.keys is None:
                 return _plain(404, "service has no certificate")
-            return _plain(200, security.render_certificate_text(cert))
+            return _plain(200, security.render_certificate_text(live.keys[1]))
         if req.method == "GET":
             return self._serve_static(req.path)
         return _plain(404, "no such resource")
@@ -489,14 +488,10 @@ class Host:
             env, call = _parse_call(root, "request body must be a method call")
             method_name = call.operation.localName
             auth = self._authenticate(env)
-            desc = self._route(path, call)
+            live = self._route(path, call)
+            desc = live.record.descriptor
             service_name = desc.serviceName
             self._authorize(auth, service_name)
-            live = self._live.get(service_name)
-            if live is None or (desc.securityEnabled and live.keys is None):
-                # not yet published or already removed: a secured service
-                # fails closed, before anything needs its keys
-                raise HandlerError("no handler attached to service")
             if desc.securityEnabled:
                 signing_key = live.keys[0].privateKey
                 _verify_inbound_signature(root, env)
@@ -534,13 +529,13 @@ class Host:
         except MalformedXml:
             raise AccessDenied(detail="unreadable Auth header") from None
 
-    def _route(self, path: str, call: SoapCall) -> ServiceDescriptor:
+    def _route(self, path: str, call: SoapCall) -> _LiveService:
         """The request path, or else the path of the call's namespace URI."""
         path = path or urlsplit(call.operation.namespaceUri).path
-        try:
-            return self.registry.lookup_by_path(path).descriptor
-        except NotFound:
-            raise NotFound(f"unknown service: {path or '(no path)'}") from None
+        live = self._services.get(path)
+        if live is None:
+            raise NotFound(f"unknown service: {path or '(no path)'}")
+        return live
 
     def _authorize(self, auth: Optional[AuthHeader], service_name: str) -> None:
         if auth is not None and not self.registry.check_access_proof(

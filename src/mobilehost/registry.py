@@ -5,8 +5,9 @@ adding or removing a service or user first writes the new tables to
 ``dir/state.db`` through ``durable.write_file``, then applies them in
 memory, so a write that fails changes nothing and a change that
 returned survives a crash. Mutations serialize on a write lock of their
-own; lookups and the request log take only the table lock, held just
-to read or swap a record, so a request never waits on the disk. The
+own; reads and the request log take only the table lock, held just to
+read or swap a record, so a request never waits on the disk. Services
+are keyed by name; the host routes by path through its own table. The
 request log stays in memory and keeps the last ``DEFAULT_LOG_CAPACITY``
 entries. ``Registry()`` is in memory only.
 
@@ -117,7 +118,6 @@ class Registry:
         self._write_lock = threading.Lock()
         self._directory: Optional[Path] = None
         self._by_name: dict = {}
-        self._by_path: dict = {}
         self._users: dict = {}
         self._log = collections.deque(maxlen=DEFAULT_LOG_CAPACITY)
 
@@ -132,12 +132,11 @@ class Registry:
         with self._write_lock:
             if name in self._by_name:
                 raise DuplicateService(f"service already registered: {name}")
-            if path in self._by_path:
+            if any(r.descriptor.endpointPath == path for r in self._by_name.values()):
                 raise PathConflict(f"endpoint path already in use: {path}")
             self._save([*self._by_name.values(), rec], self._users.values())
             with self._lock:
                 self._by_name[name] = rec
-                self._by_path[path] = rec
 
     def lookup_service(self, name: str) -> ServiceRecord:
         with self._lock:
@@ -147,11 +146,10 @@ class Registry:
                 raise NotFound(f"unknown service: {name}") from None
 
     def lookup_by_path(self, path: str) -> ServiceRecord:
-        with self._lock:
-            try:
-                return self._by_path[path]
-            except KeyError:
-                raise NotFound(f"unknown service path: {path}") from None
+        for rec in self.list_services():
+            if rec.descriptor.endpointPath == path:
+                return rec
+        raise NotFound(f"unknown service path: {path}")
 
     def remove_service(self, name: str) -> None:
         with self._write_lock:
@@ -162,7 +160,6 @@ class Registry:
                        self._users.values())
             with self._lock:
                 del self._by_name[name]
-                del self._by_path[rec.descriptor.endpointPath]
 
     def list_services(self) -> list:
         with self._lock:

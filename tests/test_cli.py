@@ -521,6 +521,17 @@ class TestUsageErrors:
             main(["invoke"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invoke", "notaurl", "m"], "no host in URL"),
+        (["describe", "notaurl"], "no host in URL"),
+        (["invoke", "http://127.0.0.1:notaport/x", "m"], "notaport"),
+        (["describe", "http://127.0.0.1:notaport/x"], "notaport"),
+    ], ids=["invoke no host", "describe no host", "invoke bad port", "describe bad port"])
+    def test_bad_url_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_describe_dead_port_exit_3(self, capsys):
         assert main(["describe", f"http://127.0.0.1:{free_port()}/X.jws",
                      "--timeout", "1"]) == 3

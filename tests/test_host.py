@@ -334,20 +334,6 @@ class TestSecurityGating:
         cert = secure_host.service_certificate("CadastroEscolar")
         assert verify_signature(body_canonical(resp.body), block, cert.public_key())
 
-    def test_secured_service_without_live_entry_fails_closed(self, secure_host, fig13_bytes):
-        # routed, but not (or no longer) live: no key to verify, decrypt or
-        # sign with, so a Server fault before any of them, never a reply
-        cert = secure_host.service_certificate("CadastroEscolar")
-        wrapped = encrypt_request(fig13_bytes, "http://localhost:5000/CadastroEscolar.jws", cert)
-        del secure_host._live["CadastroEscolar"]
-        for payload in (fig13_bytes, wrapped):
-            resp = secure_host.handle_request(soap_request(payload))
-            assert resp.status == 500
-            env = parse_envelope(resp.body)
-            assert (env.body.faultcode, env.body.faultstring) == (
-                "Server", "no handler attached to service")
-            assert env.header(SIGNATURE_HEADER) is None
-
     def test_encrypted_round_trip(self, secure_host, fig13_bytes):
         cert = secure_host.service_certificate("CadastroEscolar")
         wrapped = encrypt_request(
@@ -692,7 +678,7 @@ class TestWebBranch:
             assert self.get(host, "/Echoish.jws", "cert").status == 404, gone
             with pytest.raises(NotFound):
                 host.service_certificate("Echoish")
-            assert host._live["Echoish"].lock is None
+            assert host._services["/Echoish.jws"].lock is None
 
     def test_unknown_path_404(self, demo_host):
         assert self.get(demo_host, "/index.html").status == 404
@@ -775,6 +761,35 @@ class TestConcurrencyAndDeployment:
         assert parse_envelope(resp.body).body.result.value == "ABC"
         assert not errors
 
+    @pytest.mark.parametrize("secure", [False, True], ids=["open", "secured"])
+    def test_request_while_registering_is_unknown_or_served(self, tmp_path, monkeypatch,
+                                                            secure):
+        # a request that comes after the registry took the record, before
+        # create_service returned, finds no service or all of it: never a
+        # service without its handler or keys, never an unsigned reply
+        host = make_host(tmp_path, with_demo=False)
+        payload = call_envelope(method="shout", params=(("text", "abc"),),
+                                namespace="http://localhost:5000/Echoish.jws")
+        register = host.registry.register_service
+        replies = []
+
+        def register_then_call(rec):
+            register(rec)
+            replies.append(host.handle_request(soap_request(payload)))
+
+        monkeypatch.setattr(host.registry, "register_service", register_then_call)
+        host.create_service(simple_descriptor(secure=secure), UpperHandler())
+        [resp] = replies
+        env = parse_envelope(resp.body)
+        if resp.status == 200:
+            assert env.body.result.value == "ABC"
+            if secure:
+                cert = host.service_certificate("Echoish")
+                assert verify_envelope_signature(resp.body, cert) is True
+        else:
+            assert (resp.status, env.body.faultcode, env.body.faultstring) == (
+                500, "Client", "unknown service: /Echoish.jws")
+
     def test_attach_racing_remove_leaves_no_live_entry(self, tmp_path):
         # attach_handler replaces the live entry it read; a remove in
         # between must not be undone, and attach sees NotFound, not KeyError
@@ -794,7 +809,7 @@ class TestConcurrencyAndDeployment:
             while time.monotonic() < deadline:
                 host.remove_service("Echoish")
                 time.sleep(0)
-                if "Echoish" in host._live:
+                if "/Echoish.jws" in host._services:
                     stale.append(True)
                 host.create_service(simple_descriptor(), UpperHandler())
 
