@@ -40,6 +40,10 @@ XMLNS_NS = "http://www.w3.org/2000/xmlns/"
 # characters outside the XML 1.0 Char production
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NOT_XML_C0 = tuple(chr(c) for c in range(0x20) if chr(c) not in "\t\n\r")
+# str.isprintable costs about 2.5 ns a character; one find per C0 control
+# costs about 1.4 us plus 0.5 ns a character (timeit, 2 vCPU VM). Up to
+# about 600 characters the one scan is cheaper, beyond it the finds.
+_PRINTABLE_SCAN_MAX = 512
 
 
 def _xml_text(raw) -> str:
@@ -115,7 +119,9 @@ def xml_chars_ok(text: str) -> bool:
     """True iff XML 1.0 can carry every character of text."""
     if text.isascii():
         # ASCII holds no surrogate and no U+FFFE/U+FFFF, so the C0
-        # controls are all there is to find
+        # controls are all there is to find. Printable text has none.
+        if len(text) <= _PRINTABLE_SCAN_MAX and text.isprintable():
+            return True
         return not any(c in text for c in _NOT_XML_C0)
     return _NOT_XML_CHAR.search(text) is None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import HandlerError
 from .service import MethodSignature, ParameterSpec, ServiceDescriptor
@@ -54,17 +54,17 @@ def render_notes(records: Iterable[NoteRecord]) -> str:
 
 class NotesHandler:
     def __init__(self, seed: Iterable[NoteRecord] = DEFAULT_SEED):
-        self.records: List[NoteRecord] = list(seed)
+        self.records: Tuple[NoteRecord, ...] = tuple(seed)
+        # the records of each (student, discipline) pair, in seed order
+        self._by_pair: Dict[Tuple[str, str], List[NoteRecord]] = {}
+        for r in self.records:
+            self._by_pair.setdefault((r.studentCode, r.disciplineCode), []).append(r)
 
     def executeMethod(self, methodName: str, args) -> TypedValue:
         if methodName != "obterNotas":
             raise HandlerError(f"unsupported method: {methodName}")
         student, discipline = (a.value for a in args)
-        matches = [
-            r
-            for r in self.records
-            if r.studentCode == student and r.disciplineCode == discipline
-        ]
+        matches = self._by_pair.get((student, discipline), ())
         return TypedValue.of(XsdType.STRING, render_notes(matches))
 
 

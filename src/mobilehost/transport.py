@@ -1,11 +1,11 @@
 """Network listeners and the HTTP rules of request classification.
 
 Three binding kinds share one dispatcher contract: the listener frames
-a request into an InboundRequest, hands it to a worker from a bounded
-pool, and writes back whatever OutboundResponse the dispatcher returns.
-Listeners only frame: they never parse the payload. The host decides
-what a request is (``classify_request``) and parses it once; a
-classification other than "soap" carries no tree.
+a request into an InboundRequest, runs the dispatcher on one of a
+bounded number of workers, and writes back whatever OutboundResponse
+the dispatcher returns. Listeners only frame: they never parse the
+payload. The host decides what a request is (``classify_request``) and
+parses it once; a classification other than "soap" carries no tree.
 
 * ``http``: HTTP/1.1 subset — GET and POST, Content-Length required on
   POST, one request per connection. A header line that starts with
@@ -16,10 +16,15 @@ classification other than "soap" carries no tree.
 * ``loopback``: in-memory, for tests and embedding.
 
 The ``http`` and ``rawTcp`` listeners share one connection handler and
-differ only in their reader. A request the reader refuses (a bad HTTP
-head, an oversized frame) is answered, then the unread rest is drained,
-so the peer sees a FIN and not a reset. A dispatcher that raises is
-answered ``internal error`` and logged with its traceback.
+differ only in their reader. Each of their workers accepts a connection
+itself and serves it to the end, reading through a small buffer over
+``recv`` and writing the reply head and body with ``sendmsg``, never
+joined; no thread hands connections on. Workers start as connections need them,
+up to the pool size, so the kernel's accept backlog is the only queue.
+A request the reader refuses (a bad HTTP head, an oversized frame) is
+answered, then the unread rest is drained, so the peer sees a FIN and
+not a reset. A dispatcher that raises is answered ``internal error``
+and logged with its traceback.
 
 Stopping a listener is graceful: new connections are refused, requests
 already accepted still get their response.
@@ -28,6 +33,7 @@ already accepted still get their response.
 from __future__ import annotations
 
 import concurrent.futures
+import io
 import logging
 import socket
 import struct
@@ -60,6 +66,10 @@ MAX_HEADERS = 100
 # refusal before the client reads it (RFC 9112 section 9.6)
 _DRAIN_BYTES = MAX_LINE * (MAX_HEADERS + 2)
 _DRAIN_SECONDS = 1.0
+
+_RECV_SIZE = 65536
+# pause before a worker calls accept() again after it failed
+_ACCEPT_RETRY_SECONDS = 0.1
 
 _REASONS = {
     200: "OK",
@@ -170,10 +180,14 @@ def classify_request(
 # --- framing (rawTcp) -------------------------------------------------------
 
 
-def encode_frame(payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
+def _frame_header(length: int) -> bytes:
+    if length > MAX_PAYLOAD:
         raise ValueError(f"frame exceeds {MAX_PAYLOAD} bytes")
-    return _FRAME_HEADER.pack(len(payload)) + payload
+    return _FRAME_HEADER.pack(length)
+
+
+def encode_frame(payload: bytes) -> bytes:
+    return _frame_header(len(payload)) + payload
 
 
 def read_frame(sock_file) -> bytes:
@@ -191,6 +205,62 @@ def read_frame(sock_file) -> bytes:
     return payload
 
 
+class _SocketReader:
+    """Buffered reads over a socket's ``recv``: readline(limit) and
+    read(n) return what ``io.BufferedReader`` returns for the same bytes,
+    without building a socket file object per connection."""
+
+    __slots__ = ("_sock", "_buf", "_pos")
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = b""
+        self._pos = 0  # bytes of _buf already returned
+
+    def readline(self, limit: int) -> bytes:
+        """Bytes through the next LF, at most limit of them; fewer at EOF."""
+        buf, pos = self._buf, self._pos
+        seen = pos  # bytes before this offset hold no LF
+        while True:
+            lf = buf.find(b"\n", seen, pos + limit)
+            if lf >= 0:
+                end = lf + 1
+                break
+            if len(buf) - pos >= limit:
+                end = pos + limit
+                break
+            chunk = self._sock.recv(_RECV_SIZE)
+            if not chunk:
+                end = len(buf)
+                break
+            buf, pos, seen = buf[pos:] + chunk, 0, len(buf) - pos
+        self._buf, self._pos = buf, end
+        return buf[pos:end]
+
+    def read(self, n: int) -> bytes:
+        """n bytes; fewer at EOF."""
+        buf, pos = self._buf, self._pos
+        have = len(buf) - pos
+        if have >= n:
+            self._pos = pos + n
+            return buf[pos:pos + n]
+        # received straight into one buffer of the final size: bytes(n)
+        # is calloc'd, so its pages take memory only as data lands in
+        # them, and with the view released getvalue() hands the buffer
+        # over as the bytes object instead of copying it
+        body = io.BytesIO(bytes(n))
+        with body.getbuffer() as view:
+            view[:have] = memoryview(buf)[pos:]
+            self._buf, self._pos = b"", 0
+            while have < n:
+                got = self._sock.recv_into(view[have:])
+                if not got:
+                    break
+                have += got
+        body.truncate(have)
+        return body.getvalue()
+
+
 # --- listeners ---------------------------------------------------------------
 
 _INTERNAL_ERROR = OutboundResponse(500, "text/plain; charset=utf-8", b"internal error")
@@ -202,21 +272,20 @@ class _Refused(Exception):
 
 
 class _Listener:
-    """What every binding has: a dispatcher, a bounded worker pool and a
-    graceful stop."""
+    """What every binding has: a dispatcher, a bounded set of workers
+    and a graceful stop."""
 
-    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
-                 pool_size: int = DEFAULT_POOL_SIZE):
+    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher, pool):
         self.cfg = cfg
         self.dispatcher = dispatcher
         self.port = cfg.port
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_size)
+        self._pool = pool
         self._stopping = threading.Event()
 
     def stop(self) -> None:
         """Refuse new work, then let the work already accepted finish."""
         self._stopping.set()
-        self._pool.shutdown(wait=True)
+        self._pool.shutdown()
 
     def __enter__(self):
         return self
@@ -225,10 +294,34 @@ class _Listener:
         self.stop()
 
 
+class _Threads:
+    """The workers of a socket listener: one daemon thread per submit.
+    Unlike a ThreadPoolExecutor's, these threads do not hold up
+    interpreter exit, so a host that is never shut down does not keep
+    its process waiting in accept()."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, fn, *args) -> None:
+        thread = threading.Thread(target=fn, args=args, daemon=True)
+        self.threads.append(thread)
+        thread.start()
+
+    def shutdown(self) -> None:
+        for thread in self.threads:
+            thread.join()
+
+
 class _SocketListener(_Listener):
-    """Accept loop and connection handler of the socket transports. A
-    protocol supplies only ``_read_request(rfile, peer)``, which returns
-    an InboundRequest or raises _Refused or PeerGone."""
+    """Workers and connection handler of the socket transports. A
+    protocol supplies only ``_read_request(reader, peer)``, which returns
+    an InboundRequest or raises _Refused or PeerGone.
+
+    Each worker loops on accept, then serves that connection itself
+    (leader/followers). A worker that accepts while no other waits in
+    accept() starts one more, up to pool_size, so at most pool_size
+    connections are served at once and the rest wait in the backlog."""
 
     def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
                  pool_size: int = DEFAULT_POOL_SIZE):
@@ -238,34 +331,47 @@ class _SocketListener(_Listener):
             )
         except OSError as e:
             raise BindFailure(f"cannot bind {cfg.address}:{cfg.port}: {e}") from None
-        super().__init__(cfg, dispatcher, pool_size)
+        super().__init__(cfg, dispatcher, _Threads())
         self.port = self._sock.getsockname()[1]
-        # closing a listening socket does not interrupt accept() everywhere,
-        # so the acceptor polls and re-checks the stop flag
-        self._sock.settimeout(0.1)
-        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        self._acceptor.start()
+        # accept() waits for a connection or stop(), whatever
+        # socket.setdefaulttimeout says
+        self._sock.settimeout(None)
+        self._pool_size = pool_size
+        self._lock = threading.Lock()
+        self._waiting = 1  # workers in accept() or on their way there
+        self._pool.submit(self._work)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+    def _work(self) -> None:
+        while True:
             try:
                 conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break  # socket closed by stop()
+                if self._stopping.is_set():
+                    return  # stop() shut the socket down
+                # out of file descriptors, say: the connection stays queued
+                _log.exception("accept failed on the %s listener", self.kind)
+                time.sleep(_ACCEPT_RETRY_SECONDS)
+                continue
+            with self._lock:
+                self._waiting -= 1
+                if (not self._waiting and not self._stopping.is_set()
+                        and len(self._pool.threads) < self._pool_size):
+                    self._waiting += 1
+                    self._pool.submit(self._work)
             try:
-                self._pool.submit(self._serve_connection, conn, addr)
-            except RuntimeError:
-                conn.close()  # pool already shut down
+                self._serve_connection(conn, addr)
+            except Exception:
+                _log.exception("serving a %s connection from %s failed", self.kind, addr)
+            with self._lock:
+                self._waiting += 1
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         conn.settimeout(30)
         peer = f"{addr[0]}:{addr[1]}"
         try:
-            with conn, conn.makefile("rb") as rfile:
+            with conn:
                 try:
-                    req = self._read_request(rfile, peer)
+                    req = self._read_request(_SocketReader(conn), peer)
                 except _Refused as refused:
                     status, text = refused.args
                     _WRITERS[self.kind](conn, status, "text/plain; charset=utf-8",
@@ -284,21 +390,24 @@ class _SocketListener(_Listener):
             pass  # peer went away or sent garbage beyond repair
 
     def stop(self) -> None:
-        """Refuse new connections, then drain in-flight requests."""
-        self._stopping.set()
+        """Refuse new connections, then let the workers finish the ones
+        they hold. Shutting the listening socket down wakes every worker
+        in accept() (Linux returns EINVAL there)."""
+        with self._lock:  # no worker starts after this
+            self._stopping.set()
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
-        self._acceptor.join(timeout=5)
-        super().stop()
+            pass  # stopped before
+        self._pool.shutdown()
+        self._sock.close()
 
 
 class HttpListener(_SocketListener):
     kind = "http"
 
-    def _read_request(self, rfile, peer: str) -> InboundRequest:
-        request_line = rfile.readline(MAX_LINE)
+    def _read_request(self, reader, peer: str) -> InboundRequest:
+        request_line = reader.readline(MAX_LINE)
         if not request_line:
             raise PeerGone("empty request")
         if len(request_line) == MAX_LINE and not request_line.endswith(b"\n"):
@@ -312,7 +421,7 @@ class HttpListener(_SocketListener):
         headers = {}
         lengths = set()
         for _ in range(MAX_HEADERS + 1):
-            line = rfile.readline(MAX_LINE)
+            line = reader.readline(MAX_LINE)
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(line) == MAX_LINE and not line.endswith(b"\n"):
@@ -351,7 +460,7 @@ class HttpListener(_SocketListener):
             length = int(value)
             if length > MAX_PAYLOAD:
                 raise _Refused(413, "payload too large")
-            payload = rfile.read(length)
+            payload = reader.read(length)
             if len(payload) < length:
                 raise PeerGone("peer closed mid-body")
         elif method != "GET":
@@ -388,9 +497,9 @@ def _drain(conn: socket.socket) -> None:
 class RawTcpListener(_SocketListener):
     kind = "rawTcp"
 
-    def _read_request(self, rfile, peer: str) -> InboundRequest:
+    def _read_request(self, reader, peer: str) -> InboundRequest:
         try:
-            payload = read_frame(rfile)
+            payload = read_frame(reader)
         except ValueError:
             raise _Refused(413, "frame too large") from None
         return InboundRequest(transportKind=self.kind, peer=peer, path="",
@@ -398,10 +507,15 @@ class RawTcpListener(_SocketListener):
 
 
 class LoopbackListener(_Listener):
-    """In-memory binding: request() runs the payload through the same
-    worker pool and returns the dispatcher's response."""
+    """In-memory binding: request() runs the payload on a bounded worker
+    pool and returns the dispatcher's response."""
 
     kind = "loopback"
+
+    def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
+                 pool_size: int = DEFAULT_POOL_SIZE):
+        super().__init__(cfg, dispatcher,
+                         concurrent.futures.ThreadPoolExecutor(max_workers=pool_size))
 
     def request(self, payload: bytes, path: str = "", peer: str = "loopback",
                 timeout: Optional[float] = None) -> OutboundResponse:
@@ -436,9 +550,16 @@ def send_response(req: InboundRequest, status: int, body: bytes,
     _WRITERS[req.transportKind](conn, status, content_type, body)
 
 
-def _sendall(conn, data: bytes) -> None:
+def _send(conn, head: bytes, body: bytes) -> None:
+    """Send head, then body, without joining them into one buffer."""
+    parts = [head, body]
     try:
-        conn.sendall(data)
+        while parts:
+            sent = conn.sendmsg(parts)
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if sent:
+                parts[0] = memoryview(parts[0])[sent:]
     except OSError as e:
         raise PeerGone(str(e)) from None
 
@@ -451,12 +572,12 @@ def _http_write(conn, status: int, content_type: str, body: bytes) -> None:
         f"Content-Length: {len(body)}\r\n"
         f"Connection: close\r\n\r\n"
     ).encode("latin-1")
-    _sendall(conn, head + body)
+    _send(conn, head, body)
 
 
 def _frame_write(conn, status: int, content_type: str, body: bytes) -> None:
     # a frame carries the body only
-    _sendall(conn, encode_frame(body))
+    _send(conn, _frame_header(len(body)), body)
 
 
 _WRITERS = {"http": _http_write, "rawTcp": _frame_write}

@@ -11,6 +11,7 @@ from mobilehost.canonical import (
     SOAP_ENV_NS,
     XML_NS,
     XMLNS_NS,
+    _NOT_XML_CHAR,
     _xml_text,
     body_canonical,
     canonicalize,
@@ -365,8 +366,16 @@ class TestSerializeBodyCanonical:
 
 
 class TestXmlChars:
-    # ASCII text goes through one find per control character, other text
-    # through a regex; both must agree with the XML 1.0 Char rule
+    # short printable ASCII is passed at once, other ASCII goes through one
+    # find per control character, other text through a regex; all must
+    # agree with the XML 1.0 Char rule
+    def test_each_ascii_character_agrees_with_the_regex(self):
+        # TAB, LF, CR and DEL are not printable but are XML characters
+        for code in range(128):
+            for text in (chr(code), "abc" + chr(code) + "def", "a" * 600 + chr(code)):
+                assert xml_chars_ok(text) is (_NOT_XML_CHAR.search(text) is None), repr(text)
+        assert xml_chars_ok("") and xml_chars_ok("\x7f") and not xml_chars_ok("\x1f")
+
     @pytest.mark.parametrize("pad", ["a", "é"])
     def test_each_forbidden_character_is_found(self, pad):
         assert xml_chars_ok(pad + "\t\n\r<&" + pad)

@@ -3,6 +3,7 @@ users add, and the documented exit codes."""
 
 import contextlib
 import pyexpat
+import random
 import socket
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 
 from mobilehost.cli import main
 from mobilehost.manifest import load_manifest
-from mobilehost.notes import DEFAULT_SEED, load_seed_file, render_notes
+from mobilehost.notes import DEFAULT_SEED, NotesHandler, load_seed_file, render_notes
+from mobilehost.soap import TypedValue, XsdType
 from mobilehost.transport import BindingConfig
 
 from conftest import free_port, make_host
@@ -639,6 +641,24 @@ class TestSeedFile:
 
     def test_no_records_renders_lone_hash(self):
         assert render_notes([]) == "#"
+
+    def test_index_matches_linear_scan(self, tmp_path):
+        # a seed shaped like the benchmark's: 240 student/discipline
+        # pairs, half of them with 1 to 6 records, in shuffled order
+        rng = random.Random(7)
+        pairs = [(f"A{s:03d}", f"D{d:03d}") for s in range(1, 41) for d in range(1, 7)]
+        rng.shuffle(pairs)
+        lines = [f"{s};{d};NOTE {k};{rng.randint(0, 100)}"
+                 for n, (s, d) in enumerate(pairs[:120]) for k in range(n % 6 + 1)]
+        rng.shuffle(lines)
+        seed_file = tmp_path / "notes.seed"
+        seed_file.write_text("\n".join(lines))
+        for seed in (DEFAULT_SEED, load_seed_file(seed_file)):
+            handler = NotesHandler(seed)
+            for s, d in pairs + [("A001", "D002"), ("Z999", "D001"), ("", "")]:
+                args = [TypedValue.of(XsdType.STRING, s), TypedValue.of(XsdType.STRING, d)]
+                scan = [r for r in seed if (r.studentCode, r.disciplineCode) == (s, d)]
+                assert handler.executeMethod("obterNotas", args).value == render_notes(scan)
 
 
 class TestManifest:

@@ -8,6 +8,7 @@ import logging
 import random
 import shutil
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -600,9 +601,35 @@ class TestLifecycle:
         assert canonicalize(tcp_exchange(port, fig13_bytes)) == canonicalize(fig14_bytes)
         host.shutdown()
         assert host.listener("rawTcp") is None
-        assert not listener._acceptor.is_alive()
+        assert not any(t.is_alive() for t in listener._pool.threads)
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+    def test_process_exits_without_shutdown(self, tmp_path):
+        # listener workers wait in accept(); they must not hold up exit
+        script = (
+            "import socket, sys\n"
+            "from mobilehost.host import Host, HostConfig\n"
+            "from mobilehost.notes import NotesHandler, notes_descriptor\n"
+            "from mobilehost.transport import BindingConfig, encode_frame\n"
+            "http, tcp = int(sys.argv[1]), int(sys.argv[2])\n"
+            "host = Host(HostConfig(dataDir=sys.argv[3], bindings=(\n"
+            "    BindingConfig('http', port=http), BindingConfig('rawTcp', port=tcp))))\n"
+            "host.create_service(notes_descriptor(), NotesHandler())\n"
+            "host.start()\n"
+            "with socket.create_connection(('127.0.0.1', http), timeout=5) as s:\n"
+            "    s.sendall(b'GET /CadastroEscolar.jws?wsdl HTTP/1.1\\r\\n\\r\\n')\n"
+            "    assert s.recv(12) == b'HTTP/1.1 200'\n"
+            "with socket.create_connection(('127.0.0.1', tcp), timeout=5) as s:\n"
+            "    s.sendall(encode_frame(b'<x/>'))\n"
+            "    assert len(s.recv(65536)) > 4\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(free_port()), str(free_port()),
+             str(tmp_path / "data")],
+            capture_output=True, timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_shutdown_completes_inflight(self, tmp_path, fig13_bytes):
         release = threading.Event()

@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import logging
 import socket
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from mobilehost.transport import (
     LoopbackListener,
     OutboundResponse,
     RawTcpListener,
+    _SocketReader,
     classify_request,
     encode_frame,
     read_frame,
@@ -137,6 +139,97 @@ class TestFraming:
             read_frame(io.BytesIO(encode_frame(b"abcdef")[:-2]))
 
 
+class ChunkedEnd:
+    """The reading end of a socketpair whose recv calls stop at the
+    sender's write boundaries, so each chunk arrives on its own."""
+
+    def __init__(self, sock, chunks):
+        self.sock = sock
+        self.left = [len(c) for c in chunks]
+
+    def cap(self, n):
+        return min(n, self.left[0]) if self.left else n
+
+    def took(self, got):
+        if self.left:
+            self.left[0] -= got
+            if not self.left[0]:
+                self.left.pop(0)
+        return got
+
+    def recv(self, n):
+        data = self.sock.recv(self.cap(n))
+        self.took(len(data))
+        return data
+
+    def recv_into(self, view):
+        return self.took(self.sock.recv_into(view, self.cap(len(view))))
+
+
+def apply(reader, ops) -> list:
+    """The result of each op on reader; an exception counts by its type."""
+    results = []
+    for op, n in ops:
+        try:
+            if op == "frame":
+                results.append(read_frame(reader))
+            else:
+                results.append(getattr(reader, op)(n))
+        except (PeerGone, ValueError) as e:
+            results.append(type(e))
+    return results
+
+
+# lines around the read limit, with and without their LF, a bare LF,
+# short binary text and frame headers that declare more than follows
+stream_piece = st.one_of(
+    st.sampled_from([MAX_LINE - 1, MAX_LINE, MAX_LINE + 1]).flatmap(
+        lambda n: st.sampled_from([b"h" * (n - 1) + b"\n", b"h" * n])),
+    st.just(b"\n"),
+    st.binary(max_size=40),
+    st.integers(0, 200).map(lambda n: n.to_bytes(4, "big")),
+)
+reader_op = st.one_of(
+    st.tuples(st.just("readline"), st.sampled_from([0, 1, 7, MAX_LINE - 1, MAX_LINE, MAX_LINE + 1])),
+    st.tuples(st.just("read"), st.integers(0, 3 * MAX_LINE)),
+    st.tuples(st.just("frame"), st.just(0)),
+)
+
+
+class TestSocketReader:
+    """The listener's reader returns what io.BufferedReader returns for
+    the same bytes, however the sender splits them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_results_as_buffered_reader(self, data):
+        stream = b"".join(data.draw(st.lists(stream_piece, max_size=6)))
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, len(stream))), max_size=8))))
+        bounds = [0] + [c for c in cuts if c < len(stream)] + [len(stream)]
+        chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+        ops = data.draw(st.lists(reader_op, min_size=1, max_size=8))
+        expected = apply(io.BufferedReader(io.BytesIO(stream)), ops)
+        a, b = socket.socketpair()
+        with a, b:
+            for chunk in chunks:
+                a.sendall(chunk)
+            a.shutdown(socket.SHUT_WR)
+            assert apply(_SocketReader(ChunkedEnd(b, chunks)), ops) == expected
+
+    def test_long_body_arrives_whole_as_bytes(self):
+        body = bytes(range(256)) * 4096  # 1 MiB
+        a, b = socket.socketpair()
+        with a, b:
+            sender = threading.Thread(target=a.sendall, args=(b"x\n" + body,))
+            sender.start()
+            reader = _SocketReader(b)
+            assert reader.readline(MAX_LINE) == b"x\n"
+            got = reader.read(len(body))
+            sender.join(timeout=5)
+            assert not sender.is_alive()
+        assert type(got) is bytes and got == body
+
+
 class TestLoopback:
     def test_request_response_in_process(self):
         with start_listener(BindingConfig(kind="loopback"), echo_dispatcher) as listener:
@@ -174,8 +267,9 @@ class SocketListenerContract:
     kind = ""
     internal_error = b""  # the reply to a dispatcher that raises
 
-    def listen(self, port: int, dispatcher):
-        return start_listener(BindingConfig(kind=self.kind, port=port), dispatcher)
+    def listen(self, port: int, dispatcher, pool_size=32):
+        return start_listener(BindingConfig(kind=self.kind, port=port), dispatcher,
+                              pool_size)
 
     def test_bind_conflict(self, port):
         with self.listen(port, echo_dispatcher):
@@ -208,8 +302,8 @@ class SocketListenerContract:
             assert read_to_eof(port, request) == reply
 
     def test_peer_closed_before_request_is_no_error(self, port):
-        # nothing reads the pool's futures, so an error escaping the
-        # handler would be lost; it must close quietly instead
+        # an error escaping the handler would reach the worker's backstop
+        # log; a peer that left first must be closed quietly instead
         with self.listen(port, echo_dispatcher) as listener:
             conn, peer = socket.socketpair()
             peer.close()
@@ -235,6 +329,55 @@ class SocketListenerContract:
         assert raw.endswith(b"echo:inflight")
         with pytest.raises(OSError):
             self.exchange(port, b"late")
+
+
+    def test_stop_after_a_burst_ends_every_worker(self, port):
+        pool_size = 8
+        with self.listen(port, echo_dispatcher, pool_size) as listener:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=pool_size) as pool:
+                replies = list(pool.map(lambda i: self.exchange(port, b"%d" % i),
+                                        range(pool_size)))
+            assert all(r.endswith(b"echo:%d" % i) for i, r in enumerate(replies))
+            assert 1 <= len(listener._pool.threads) <= pool_size
+            start = time.monotonic()
+            listener.stop()
+            assert time.monotonic() - start < 1
+            assert not any(t.is_alive() for t in listener._pool.threads)
+
+    def test_worker_outlives_a_failed_accept(self, port, monkeypatch, caplog):
+        # accept() can fail on a live socket (out of file descriptors);
+        # the worker logs it and accepts again instead of ending
+        accept = socket.socket.accept
+        failures = [OSError(24, "Too many open files")]
+
+        def flaky(sock):
+            if failures:
+                raise failures.pop()
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", flaky)
+        with self.listen(port, echo_dispatcher):
+            assert self.exchange(port, b"late").endswith(b"echo:late")
+        assert any("accept failed" in r.getMessage() for r in caplog.records)
+
+    def test_worker_outlives_a_failing_handler(self, port, monkeypatch, caplog):
+        with self.listen(port, echo_dispatcher, 1) as listener:
+            def broken(reader, peer):
+                monkeypatch.undo()
+                raise RuntimeError("reader bug")
+
+            monkeypatch.setattr(listener, "_read_request", broken)
+            with pytest.raises((OSError, PeerGone)):  # closed unanswered
+                self.exchange(port, b"first")
+            assert self.exchange(port, b"second").endswith(b"echo:second")
+        assert any("reader bug" in logging.Formatter().formatException(r.exc_info)
+                   for r in caplog.records if r.exc_info)
+
+    def test_sequential_requests_start_at_most_two_workers(self, port):
+        # a worker starts the next only when it takes the last place in accept()
+        with self.listen(port, echo_dispatcher, 32) as listener:
+            assert self.exchange(port, b"one").endswith(b"echo:one")
+            assert len(listener._pool.threads) <= 2
 
 
 class TestHttpListener(SocketListenerContract):
@@ -382,6 +525,25 @@ class TestHttpListener(SocketListenerContract):
                 bodies = [f.result(timeout=10) for f in futures]
             for i, raw in enumerate(bodies):
                 assert raw.endswith(f"echo:req-{i}".encode())
+
+    def test_worker_count_survives_a_stress_burst(self, port):
+        # the count of workers waiting in accept() is shared; a lost
+        # update would leave it apart from the number of idle workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with HttpListener(BindingConfig(kind="http", port=port), echo_dispatcher,
+                              pool_size=4) as listener:
+                with concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
+                    replies = list(pool.map(lambda i: post(port, b"%d" % i), range(120)))
+                assert all(r.endswith(b"echo:%d" % i) for i, r in enumerate(replies))
+                deadline = time.monotonic() + 2
+                while (listener._waiting != len(listener._pool.threads)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert listener._waiting == len(listener._pool.threads) <= 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_worker_isolation(self, port):
         def selective_bomb(req):
