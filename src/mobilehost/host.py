@@ -11,16 +11,18 @@ raises a typed ``MobileHostError``. ``Host._handle_soap``
 turns such an error into a fault in one place: ``fault_code_for`` picks
 Client or Server, the fault is signed iff the caller got past
 authorization to a secured service, and one log entry records the
-service and method the request reached. Whatever a handler raises
-becomes a Server "handler failure". No input byte sequence may leave
-the pipeline without a response: any other exception is answered with
-a Server "internal host error" and logged with its traceback.
+service and method the request reached. Whatever a handler raises,
+``SystemExit`` included, becomes a Server "handler failure". No input
+byte sequence may leave the pipeline without a response: any other
+exception is answered with a Server "internal host error" and logged
+with its traceback.
 
 Requests find a service in one table keyed by endpoint path, with one
 lookup and no lock. Its live entry (``_LiveService``) holds the service
 record, the handler, the keys iff secured and the lock iff exclusive.
 It is built after the registry took the record, so a request finds all
-it needs in one entry or the path is an unknown service.
+it needs in one entry or the path is an unknown service. Its keys come
+from ``KeyStore.service_keys``.
 
 Wire conventions owned here (see docs/wire-format.md):
 
@@ -54,7 +56,6 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
@@ -105,8 +106,6 @@ ENCRYPTED_HEADER = QName("Encrypted", HEADERS_NS)
 ENCRYPTED_OPERATION = "EncryptedRequest"
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
-
-_RENEW_MARGIN = timedelta(days=security.DEFAULT_VALIDITY_DAYS / 2)
 
 _log = logging.getLogger(__name__)
 
@@ -304,33 +303,11 @@ class Host:
         self._manage_lock = threading.RLock()
         self._listeners: list = []
         for rec in self.registry.list_services():
-            self._publish(rec, None, self._service_keys(rec.keySetId))
+            desc = rec.descriptor
+            keys = self.keystore.service_keys(desc.serviceName) if desc.securityEnabled else None
+            self._publish(rec, None, keys)
 
     # --- lifecycle -------------------------------------------------------
-
-    def _service_keys(self, key_set_id: Optional[str], issue: bool = False) -> Optional[tuple]:
-        """A secured service's (KeyPair, Certificate) from the key store,
-        None for an open one. With issue, a key pair the store lacks is made
-        and saved first. Without it, missing key files are an IoFailure naming
-        the file: serving a secured service unsigned is worse than not starting."""
-        if key_set_id is None:
-            return None
-        if issue and not self.keystore.has(key_set_id):
-            kp = security.generate_keypair()
-            cert = security.issue_certificate(kp, subjectDN=f"{key_set_id}/")
-            self.keystore.save(key_set_id, kp, cert)
-            return kp, cert
-        return self._load_keys(key_set_id)
-
-    def _load_keys(self, key_set_id: str) -> tuple:
-        """(KeyPair, Certificate) of a service. A certificate within
-        _RENEW_MARGIN of its end is replaced on disk by one with the same
-        key pair and subject, a new serial and the default validity."""
-        kp, cert = self.keystore.load(key_set_id)
-        if cert.notAfter - datetime.now(timezone.utc) < _RENEW_MARGIN:
-            cert = security.issue_certificate(kp, subjectDN=cert.subjectDN)
-            self.keystore.save(key_set_id, kp, cert)
-        return kp, cert
 
     def start(self) -> None:
         """Start a listener per binding; a no-op while they run."""
@@ -394,13 +371,10 @@ class Host:
                     f"service {name} already exists with a different signature"
                 )
 
-            key_set_id = name if desc.securityEnabled else None
-            keys = self._service_keys(key_set_id, issue=True)
+            keys = self.keystore.service_keys(name, issue=True) if desc.securityEnabled else None
             doc = generate_wsdl(desc, self._endpoint_url(desc))
             store_wsdl(doc, self.cfg.wsdlDir)
-            rec = ServiceRecord(
-                descriptor=desc, wsdl=doc, keySetId=key_set_id, createdAt=time.time()
-            )
+            rec = ServiceRecord(descriptor=desc, wsdl=doc, createdAt=time.time())
             self.registry.register_service(rec)
             self._publish(rec, handler, keys)
             return rec
@@ -545,13 +519,15 @@ class Host:
 
 
 def _execute(live: _LiveService, sig: MethodSignature, call: SoapCall) -> TypedValue:
-    """Run the handler; whatever it raises becomes a HandlerError."""
+    """Run the handler; whatever it raises, SystemExit too, becomes a HandlerError."""
     if live.handler is None:
         raise HandlerError("no handler attached to service")
     try:
         with live.lock or contextlib.nullcontext():
             return live.handler.executeMethod(sig.name, [value for _, value in call.params])
-    except Exception as e:
+    except KeyboardInterrupt:
+        raise  # the operator's Ctrl-C, not the handler's failure
+    except BaseException as e:
         raise HandlerError("handler failure", detail=str(e)) from e
 
 

@@ -13,9 +13,12 @@ entries. ``Registry()`` is in memory only.
 
 ``state.db``: the first line is the SHA-256 hex digest of the bytes
 after it; the rest is ``{"services": [...], "users": [...]}`` as JSON
-(``indent=1``, sorted keys). ``state.db`` is the only file read. A
-missing or wrong digest line, a truncated file or an unreadable field
-refuses to load (``CorruptSnapshot``). So does a data dir in the layout
+(``indent=1``, sorted keys). A service entry names no key material:
+the key store keeps a secured service's keys under its name, and the
+key-set id that earlier builds stored beside it is ignored.
+``state.db`` is the only file read. A missing or wrong digest line, a
+truncated file or an unreadable field refuses to load
+(``CorruptSnapshot``). So does a data dir in the layout
 before ``state.db`` (``services.db``, ``users.db``, ``checksums``) that
 holds no ``state.db``: the refusal names the file, and nothing is
 loaded or written, so such a dir never starts as an empty registry.
@@ -56,12 +59,7 @@ OUTCOMES = ("ok", "clientFault", "serverFault", "denied")
 class ServiceRecord:
     descriptor: ServiceDescriptor
     wsdl: WsdlDocument
-    keySetId: Optional[str]
     createdAt: float
-
-    def __post_init__(self) -> None:
-        if self.descriptor.securityEnabled != (self.keySetId is not None):
-            raise ValueError("keySetId must be present iff securityEnabled")
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,6 @@ class Registry:
                     wsdl=WsdlDocument(
                         xmlText=item["wsdl"].encode("utf-8"), descriptor=desc
                     ),
-                    keySetId=item["keySetId"],
                     createdAt=item["createdAt"],
                 )
                 self.register_service(rec)
@@ -285,7 +282,6 @@ def _state_bytes(services, users) -> bytes:
             {
                 "descriptor": descriptor_to_dict(r.descriptor),
                 "wsdl": r.wsdl.xmlText.decode("utf-8"),
-                "keySetId": r.keySetId,
                 "createdAt": r.createdAt,
             }
             for r in sorted(services, key=lambda r: r.descriptor.serviceName)

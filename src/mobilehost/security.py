@@ -7,8 +7,9 @@ subject and issuer DNs, start and final dates, RSA modulus and exponent
 as decimal digit runs, then the self-signature). The rendering is
 bit-exact and parses back to an equal certificate.
 
-``KeyStore`` keeps each service's key pair and certificate as two
-files; one it cannot read is an ``IoFailure`` that names the file.
+``KeyStore`` makes, loads and renews each secured service's key pair
+and certificate; a file it cannot read, or a certificate for another
+key, is an ``IoFailure`` that names the file.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ SIGNATURE_ALGORITHM = "RSA-SHA256"
 DIGEST_ALGORITHM = "SHA-256"
 ALLOWED_KEY_BITS = (2048, 3072, 4096)
 DEFAULT_VALIDITY_DAYS = 10
+_RENEW_MARGIN = timedelta(days=DEFAULT_VALIDITY_DAYS / 2)
 
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -44,7 +46,6 @@ _DIGIT_WRAP = 43  # digits per line in modulus/signature runs
 class KeyPair:
     publicKey: rsa.RSAPublicKey
     privateKey: rsa.RSAPrivateKey
-    bits: int
 
     @property
     def modulus(self) -> int:
@@ -90,7 +91,7 @@ def generate_keypair(bits: int = 2048) -> KeyPair:
     if bits not in ALLOWED_KEY_BITS:
         raise ValueError(f"key size must be one of {ALLOWED_KEY_BITS}")
     priv = rsa.generate_private_key(public_exponent=65537, key_size=bits)
-    return KeyPair(publicKey=priv.public_key(), privateKey=priv, bits=bits)
+    return KeyPair(publicKey=priv.public_key(), privateKey=priv)
 
 
 def sign_message(message: bytes, private_key: rsa.RSAPrivateKey) -> SignatureBlock:
@@ -322,8 +323,8 @@ def parse_certificate_text(text: str) -> Certificate:
 
 
 class KeyStore:
-    """Directory of per-service key material: <name>.key (restricted
-    private PEM) and <name>.cert (certificate text)."""
+    """Each secured service's key material, found by the service name:
+    <name>.key (restricted private PEM) and <name>.cert (certificate text)."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -347,9 +348,9 @@ class KeyStore:
         write_file(self._cert_path(name), render_certificate_text(cert).encode("utf-8"))
 
     def load(self, name: str) -> tuple:
-        """(KeyPair, Certificate) of name. A file that is missing, or that
-        holds no RSA private key or no certificate text, is an IoFailure
-        naming the file."""
+        """(KeyPair, Certificate) of name. A file that is missing, that
+        holds no RSA private key or no certificate text, or a certificate
+        for another key is an IoFailure naming the file."""
         path = self._key_path(name)
         try:
             priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
@@ -357,9 +358,28 @@ class KeyStore:
                 raise ValueError("not an RSA private key")
             path = self._cert_path(name)
             cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
+            # save() writes the key first: a crash after it leaves the old cert
+            kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
+            if (cert.modulus, cert.exponent) != (kp.modulus, kp.exponent):
+                raise ValueError("certificate is for another key")
         except OSError as e:  # its text names the file
             raise IoFailure(f"cannot read key material for {name}: {e}") from None
         except (ValueError, TypeError, UnsupportedAlgorithm) as e:
             raise IoFailure(f"cannot read key material for {name}: {path}: {e}") from None
-        kp = KeyPair(publicKey=priv.public_key(), privateKey=priv, bits=priv.key_size)
+        return kp, cert
+
+    def service_keys(self, name: str, issue: bool = False) -> tuple:
+        """(KeyPair, Certificate) of a secured service. With issue, a pair
+        the store lacks is made and saved first; without it, a missing file
+        is load()'s IoFailure. A certificate within _RENEW_MARGIN of its end
+        is replaced on disk by one with the same key and subject."""
+        if issue and not self.has(name):
+            kp = generate_keypair()
+            cert = issue_certificate(kp, subjectDN=f"{name}/")
+            self.save(name, kp, cert)
+            return kp, cert
+        kp, cert = self.load(name)
+        if cert.notAfter - datetime.now(timezone.utc) < _RENEW_MARGIN:
+            cert = issue_certificate(kp, subjectDN=cert.subjectDN)
+            self.save(name, kp, cert)
         return kp, cert

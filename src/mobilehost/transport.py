@@ -8,8 +8,9 @@ payload. The host decides what a request is (``classify_request``) and
 parses it once; a classification other than "soap" carries no tree.
 
 * ``http``: HTTP/1.1 subset — GET and POST, Content-Length required on
-  POST, one request per connection. A header line that starts with
-  whitespace or has whitespace before its colon is refused.
+  POST, one request per connection. A body is framed by Content-Length
+  whatever the method; a GET's is read and dropped. A header line that
+  starts with whitespace or has whitespace before its colon is refused.
 * ``rawTcp``: a single length-prefixed frame each way,
   ``[len: u32 big-endian][payload]``; stands in for stream transports
   without an addressing layer.
@@ -23,8 +24,8 @@ joined; no thread hands connections on. Workers start as connections need them,
 up to the pool size, so the kernel's accept backlog is the only queue.
 A request the reader refuses (a bad HTTP head, an oversized frame) is
 answered, then the unread rest is drained, so the peer sees a FIN and
-not a reset. A dispatcher that raises is answered ``internal error``
-and logged with its traceback.
+not a reset. A dispatcher that raises, even ``SystemExit``, is answered
+``internal error`` and logged with its traceback; the worker lives on.
 
 Stopping a listener is graceful: new connections are refused, requests
 already accepted still get their response.
@@ -321,7 +322,11 @@ class _SocketListener(_Listener):
     Each worker loops on accept, then serves that connection itself
     (leader/followers). A worker that accepts while no other waits in
     accept() starts one more, up to pool_size, so at most pool_size
-    connections are served at once and the rest wait in the backlog."""
+    connections are served at once and the rest wait in the backlog.
+    Workers start lazily because each serving thread grows its own
+    malloc arena: with all 32 started up front, perfbench RSS rose from
+    51.8 to 83.3 MiB on bulk-echo-http (55.6 MiB with MALLOC_ARENA_MAX=1)
+    and from 31.9 to 34.0 MiB on plain-http (10 s runs, 2 vCPU VM)."""
 
     def __init__(self, cfg: BindingConfig, dispatcher: Dispatcher,
                  pool_size: int = DEFAULT_POOL_SIZE):
@@ -381,7 +386,7 @@ class _SocketListener(_Listener):
                 req._channel = conn
                 try:
                     resp = self.dispatcher(req)
-                except Exception:
+                except BaseException:
                     _log.exception("dispatcher failed on a %s request from %s",
                                    self.kind, peer)
                     resp = _INTERNAL_ERROR
@@ -448,23 +453,24 @@ class HttpListener(_SocketListener):
         if len(lengths) > 1:
             raise _Refused(400, "conflicting Content-Length")
         method = method.upper()
-        payload = b""
-        if method == "POST":
-            if "content-length" not in headers:
-                raise _Refused(411, "Content-Length required")
-            # 1*DIGIT (RFC 9110 section 8.6): int() would also take "-1",
-            # which reads to EOF past the payload cap, "+3" and "1_0"
-            value = headers["content-length"]
-            if not (value.isascii() and value.isdigit()):
-                raise _Refused(400, "bad Content-Length")
-            length = int(value)
-            if length > MAX_PAYLOAD:
-                raise _Refused(413, "payload too large")
-            payload = reader.read(length)
-            if len(payload) < length:
-                raise PeerGone("peer closed mid-body")
-        elif method != "GET":
+        if method not in ("GET", "POST"):
             raise _Refused(405, "only GET and POST are supported")
+        if method == "POST" and "content-length" not in headers:
+            raise _Refused(411, "Content-Length required")
+        # a body is framed alike whatever the method (RFC 9112 section 6.3).
+        # 1*DIGIT (RFC 9110 section 8.6): int() would also take "-1",
+        # which reads to EOF past the payload cap, "+3" and "1_0"
+        value = headers.get("content-length", "0")
+        if not (value.isascii() and value.isdigit()):
+            raise _Refused(400, "bad Content-Length")
+        length = int(value)
+        if length > MAX_PAYLOAD:
+            raise _Refused(413, "payload too large")
+        payload = reader.read(length)
+        if len(payload) < length:
+            raise PeerGone("peer closed mid-body")
+        if method == "GET":
+            payload = b""  # a GET body has no meaning (RFC 9110 section 9.3.1)
         path, _, query = target.partition("?")
         return InboundRequest(
             transportKind="http",

@@ -381,7 +381,6 @@ def test_8_persistence(tmp_path):
     for name, rec in before.items():
         assert after[name].descriptor == rec.descriptor
         assert after[name].wsdl.xmlText == rec.wsdl.xmlText
-        assert after[name].keySetId == rec.keySetId
         assert after[name].createdAt == rec.createdAt
     assert {u.login: u for u in revived.registry.list_users()} == users_before
 

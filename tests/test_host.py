@@ -432,8 +432,8 @@ class TestCreateService:
         host = make_host(tmp_path, secure_demo=True)
         assert (host.cfg.dataDir / "keys" / "CadastroEscolar.key").exists()
         assert (host.cfg.dataDir / "keys" / "CadastroEscolar.cert").exists()
-        rec = host.registry.lookup_service("CadastroEscolar")
-        assert rec.keySetId == "CadastroEscolar"
+        keys = KeyStore(host.cfg.dataDir / "keys").load("CadastroEscolar")
+        assert keys[1] == host.service_certificate("CadastroEscolar")
 
 
 class TestLifecycle:
@@ -505,12 +505,27 @@ class TestLifecycle:
         assert str(exc.value).startswith(
             f"cannot read key material for CadastroEscolar: {corrupt}: {reason}")
 
+    def test_certificate_for_another_key_refuses_to_start(self, tmp_path, other_keypair):
+        # save() writes the key, then the certificate: a crash between the
+        # two left a key beside the certificate of the key before it, and
+        # the host signed with one while serving the other at ?cert
+        host = make_host(tmp_path, secure_demo=True)
+        host.shutdown()
+        keys = tmp_path / "data" / "keys"
+        KeyStore(keys).save("CadastroEscolar", other_keypair,
+                            host.service_certificate("CadastroEscolar"))
+        with pytest.raises(IoFailure) as exc:
+            make_host(tmp_path, with_demo=False)
+        assert str(exc.value) == (f"cannot read key material for CadastroEscolar: "
+                                  f"{keys / 'CadastroEscolar.cert'}: "
+                                  f"certificate is for another key")
+
     def test_state_saved_without_shutdown(self, tmp_path):
         host = make_host(tmp_path, secure_demo=True)
         host.registry.add_user(make_user("u", "pw", "d", {"*"}))
         # no shutdown: the process could have been killed here
         revived = make_host(tmp_path, with_demo=False)
-        assert revived.registry.lookup_service("CadastroEscolar").keySetId == "CadastroEscolar"
+        assert revived.registry.lookup_service("CadastroEscolar").descriptor.securityEnabled
         assert revived.registry.check_access_proof("u", password_proof("pw"), "CadastroEscolar")
         # NotFound unless the keys were restored
         assert revived.service_certificate("CadastroEscolar").subjectDN == "CadastroEscolar/"
@@ -891,7 +906,56 @@ class TestConcurrencyAndDeployment:
         assert not overlap
 
 
+class ExitingHandler:
+    def executeMethod(self, methodName, args):
+        if args[0].value == "exit":
+            sys.exit(3)
+        if args[0].value == "interrupt":
+            raise KeyboardInterrupt
+        return TypedValue.of(XsdType.STRING, args[0].value.upper())
+
+
+def shout(text: str) -> bytes:
+    return call_envelope(method="shout", params=(("text", text),),
+                         namespace="http://localhost:5000/Echoish.jws")
+
+
 class TestRobustness:
+    def test_handler_exit_is_a_handler_failure_on_every_transport(self, tmp_path):
+        # SystemExit is no Exception: it passed the handler fault and the
+        # listener's backstop, so it ended the socket worker serving it
+        # unanswered and reached a loopback caller
+        http, tcp = free_port(), free_port()
+        host = make_host(tmp_path, BindingConfig(kind="loopback"),
+                         BindingConfig(kind="http", port=http),
+                         BindingConfig(kind="rawTcp", port=tcp),
+                         with_demo=False, workerPoolSize=2)
+        host.create_service(simple_descriptor(), ExitingHandler())
+        host.start()
+        url = f"http://127.0.0.1:{http}/Echoish.jws"
+        sends = {
+            "loopback": lambda payload: host.listener("loopback").request(payload, timeout=5).body,
+            "http": lambda payload: http_request(url, payload, timeout=5)[1],
+            "rawTcp": lambda payload: tcp_exchange(tcp, payload),
+        }
+        try:
+            for kind, send in sends.items():
+                # more exits than the pool has workers
+                for _ in range(3):
+                    fault = parse_envelope(send(shout("exit"))).body
+                    assert fault == SoapFault("Server", "handler failure", "3"), kind
+                assert parse_envelope(send(shout("abc"))).body.result.value == "ABC", kind
+        finally:
+            host.shutdown()
+
+    def test_interrupt_in_a_handler_still_interrupts(self, tmp_path):
+        # Ctrl-C reaches a handler only on the thread that runs
+        # handle_request itself; it is the operator's, not a handler failure
+        host = make_host(tmp_path, with_demo=False)
+        host.create_service(simple_descriptor(), ExitingHandler())
+        with pytest.raises(KeyboardInterrupt):
+            host.handle_request(soap_request(shout("interrupt")))
+
     @pytest.mark.parametrize("payload", [b"hello", b"<notAnEnvelope/>"])
     def test_non_envelope_over_raw_tcp_is_malformed_request(self, tmp_path, payload):
         port = free_port()

@@ -33,7 +33,6 @@ def notes_record(**kwargs) -> ServiceRecord:
     return ServiceRecord(
         descriptor=desc,
         wsdl=generate_wsdl(desc, "http://localhost:5000/CadastroEscolar.jws"),
-        keySetId=None,
         createdAt=1218649078.0,
         **kwargs,
     )
@@ -232,7 +231,6 @@ class TestPersistence:
             ra, rb = a.lookup_service(name), b.lookup_service(name)
             assert ra.descriptor == rb.descriptor
             assert ra.wsdl.xmlText == rb.wsdl.xmlText
-            assert ra.keySetId == rb.keySetId
             assert ra.createdAt == rb.createdAt
         logins_a = {u.login: u for u in a.list_users()}
         logins_b = {u.login: u for u in b.list_users()}
@@ -290,6 +288,20 @@ class TestPersistence:
         state.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
         with pytest.raises(CorruptSnapshot):
             Registry.load_snapshot(tmp_path)
+
+    def test_stored_key_set_id_is_ignored(self, tmp_path):
+        # earlier builds stored a keySetId beside each service: the key
+        # store's name for its keys, always the service name or null
+        reg = Registry.load_snapshot(tmp_path)
+        self.fill(reg)
+        state = tmp_path / "state.db"
+        tables = json.loads(state.read_bytes().partition(b"\n")[2])
+        assert all(sorted(s) == ["createdAt", "descriptor", "wsdl"] for s in tables["services"])
+        for s in tables["services"]:
+            s["keySetId"] = s["descriptor"]["serviceName"]
+        body = json.dumps(tables).encode()
+        state.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        self.assert_equal_state(reg, Registry.load_snapshot(tmp_path))
 
     def test_no_plaintext_password_in_snapshot(self, tmp_path):
         reg = Registry.load_snapshot(tmp_path)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mobilehost.errors import DecryptFailure, MalformedSignature
+from mobilehost.errors import DecryptFailure, IoFailure, MalformedSignature
 from mobilehost.security import (
     CipherEnvelope,
     KeyStore,
@@ -255,3 +255,42 @@ class TestKeyStore:
         assert not store.has("Svc")
         store.save("Svc", keypair, issue_certificate(keypair, "Svc/"))
         assert store.has("Svc")
+
+    @pytest.mark.parametrize("field", ["modulus", "exponent"])
+    def test_certificate_for_another_key_is_refused(self, tmp_path, keypair,
+                                                    other_keypair, field):
+        # save() writes the key first: a crash before the certificate
+        # follows leaves the certificate of the key before it
+        cert = issue_certificate(other_keypair if field == "modulus" else keypair, "Svc/")
+        if field == "exponent":
+            cert = dataclasses.replace(cert, exponent=3)
+        store = KeyStore(tmp_path / "keys")
+        store.save("Svc", keypair, cert)
+        with pytest.raises(IoFailure) as exc:
+            store.load("Svc")
+        assert str(exc.value) == (f"cannot read key material for Svc: "
+                                  f"{tmp_path / 'keys' / 'Svc.cert'}: "
+                                  f"certificate is for another key")
+
+    def test_service_keys_issues_a_missing_pair_once(self, tmp_path):
+        store = KeyStore(tmp_path / "keys")
+        with pytest.raises(IoFailure, match="Svc.key"):
+            store.service_keys("Svc")
+        kp, cert = store.service_keys("Svc", issue=True)
+        assert (cert.subjectDN, cert.modulus) == ("Svc/", kp.modulus)
+        assert verify_certificate(cert)
+        again = store.service_keys("Svc", issue=True)
+        assert (again[0].modulus, again[1]) == (kp.modulus, cert)
+        assert store.service_keys("Svc")[1] == cert
+
+    def test_service_keys_renews_a_certificate_near_its_end(self, tmp_path, keypair):
+        now = datetime.datetime.now(UTC).replace(microsecond=0)
+        old = issue_certificate(keypair, "Svc/", serial=b"1",
+                                not_before=now - datetime.timedelta(days=6))
+        store = KeyStore(tmp_path / "keys")
+        store.save("Svc", keypair, old)
+        kp, cert = store.service_keys("Svc")
+        assert kp.modulus == keypair.modulus
+        assert (cert.modulus, cert.subjectDN) == (old.modulus, old.subjectDN)
+        assert cert.notBefore >= now and cert.serial != old.serial
+        assert store.load("Svc")[1] == cert

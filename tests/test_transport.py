@@ -373,6 +373,20 @@ class SocketListenerContract:
         assert any("reader bug" in logging.Formatter().formatException(r.exc_info)
                    for r in caplog.records if r.exc_info)
 
+    def test_worker_outlives_a_dispatcher_that_exits(self, port, caplog):
+        # SystemExit is no Exception: it ended the worker unanswered, and
+        # with every worker gone the next request waited forever
+        def exiting(req):
+            if req.payload == b"exit":
+                sys.exit(3)
+            return echo_dispatcher(req)
+
+        with self.listen(port, exiting, 2):
+            for _ in range(3):  # more than the pool has workers
+                assert self.exchange(port, b"exit") == self.internal_error
+            assert self.exchange(port, b"after").endswith(b"echo:after")
+        assert sum(r.levelno == logging.ERROR for r in caplog.records) == 3
+
     def test_sequential_requests_start_at_most_two_workers(self, port):
         # a worker starts the next only when it takes the last place in accept()
         with self.listen(port, echo_dispatcher, 32) as listener:
@@ -423,6 +437,34 @@ class TestHttpListener(SocketListenerContract):
                 assert raw.startswith(b"HTTP/1.1 400 "), value
                 assert raw.endswith(b"bad Content-Length"), value
             assert post(port, b"ok").endswith(b"echo:ok")
+
+    def test_split_get_body_ends_in_eof_not_reset(self, port):
+        # RFC 9112 section 6.3 frames a GET's body as a POST's: served
+        # from its head alone, the connection closed with the body unread
+        def slow(req):
+            time.sleep(0.1)  # the body arrives while the reply is made
+            return echo_dispatcher(req)
+
+        with self.listen(port, slow):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+                s.sendall(b"GET /x HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\n")
+                time.sleep(0.01)
+                s.sendall(b"hello")
+                chunks = []
+                while chunk := s.recv(65536):
+                    chunks.append(chunk)
+        # the body is read, not handed on
+        assert b"".join(chunks).endswith(b"\r\n\r\necho:")
+
+    @pytest.mark.parametrize("value, status, text", [
+        (b"-1", b"400 Bad Request", b"bad Content-Length"),
+        (b"%d" % (16 * 1024 * 1024 + 1), b"413 Payload Too Large", b"payload too large"),
+    ], ids=["400", "413"])
+    def test_get_content_length_is_checked(self, port, value, status, text):
+        with self.listen(port, echo_dispatcher):
+            raw = http_exchange(port, b"GET /x HTTP/1.1\r\nHost: h\r\n"
+                                b"Content-Length: " + value + b"\r\n\r\n")
+        assert raw == plain_reply(status, text)
 
     def test_differing_content_lengths_are_400(self, port):
         cfg = BindingConfig(kind="http", port=port)

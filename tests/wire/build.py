@@ -14,8 +14,8 @@ would.
 
 What it pins down:
 
-* certificates are issued for ``VALIDITY_DAYS``, so ``Host._load_keys``
-  never renews one and ``?cert`` stays the same;
+* certificates are issued for ``VALIDITY_DAYS``, so
+  ``KeyStore.service_keys`` never renews one and ``?cert`` stays the same;
 * users are ``UserRecord``s with fixed salts;
 * PKCS#1 v1.5 signatures are deterministic under a fixed key, but
   encrypted requests are not, so every request is stored as bytes;
