@@ -17,11 +17,16 @@ parses it once; a classification other than "soap" carries no tree.
 * ``loopback``: in-memory, for tests and embedding.
 
 The ``http`` and ``rawTcp`` listeners share one connection handler and
-differ only in their reader. Each of their workers accepts a connection
-itself and serves it to the end, reading through a small buffer over
-``recv`` and writing the reply head and body with ``sendmsg``, never
-joined; no thread hands connections on. Workers start as connections need them,
-up to the pool size, so the kernel's accept backlog is the only queue.
+differ only in their reader. One worker at a time waits in ``accept()``;
+it serves the connection it accepts to the end and then accepts again,
+so back-to-back connections run on one thread and no thread hands
+connections on. Another worker takes ``accept()`` over only when that
+one stalls: its peer sends nothing for a switch interval, or a watchdog
+finds it on one connection for a whole tick (see ``_SocketListener``).
+Workers start as stalls need them, up to the pool size, so the kernel's
+accept backlog is the only queue. Requests are read through a small
+buffer over ``recv`` and replies written with ``sendmsg``, head and body
+never joined.
 A request the reader refuses (a bad HTTP head, an oversized frame) is
 answered, then the unread rest is drained, so the peer sees a FIN and
 not a reset. A dispatcher that raises, even ``SystemExit``, is answered
@@ -38,6 +43,7 @@ import io
 import logging
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,6 +77,13 @@ _DRAIN_SECONDS = 1.0
 _RECV_SIZE = 65536
 # pause before a worker calls accept() again after it failed
 _ACCEPT_RETRY_SECONDS = 0.1
+# a request or reply that moves no byte for this long ends its connection
+_READ_TIMEOUT = 30
+# a worker that has served one connection for a whole tick hands
+# accept() on; with no new connection for _WATCH_IDLE_TICKS ticks the
+# watchdog sleeps until the next one
+_WATCH_TICK = 0.05
+_WATCH_IDLE_TICKS = 20
 
 _REASONS = {
     200: "OK",
@@ -213,9 +226,9 @@ class _SocketReader:
 
     __slots__ = ("_sock", "_buf", "_pos")
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, received: bytes = b""):
         self._sock = sock
-        self._buf = b""
+        self._buf = received  # bytes the caller already took from sock
         self._pos = 0  # bytes of _buf already returned
 
     def readline(self, limit: int) -> bytes:
@@ -319,10 +332,36 @@ class _SocketListener(_Listener):
     protocol supplies only ``_read_request(reader, peer)``, which returns
     an InboundRequest or raises _Refused or PeerGone.
 
-    Each worker loops on accept, then serves that connection itself
-    (leader/followers). A worker that accepts while no other waits in
-    accept() starts one more, up to pool_size, so at most pool_size
-    connections are served at once and the rest wait in the backlog.
+    Leader/followers with one leader: the worker that holds accept()
+    serves the connection it accepts, then accepts again. Two workers
+    serving at once pass the GIL back and forth at every syscall: with
+    perfbench's two plain-http connections on two workers the host
+    switched context 3.9 to 4.3 times per request and spent 270 to 363
+    us of CPU on each; on one worker it switched 0.12 to 0.13 times,
+    spent 137 to 158 us and served 2.1 to 2.6 times the rate (30 s
+    runs, 2 vCPU VM). Another worker takes accept() over only when the
+    leader stalls:
+
+    (a) the request's first bytes do not come within one switch interval
+        (5 ms): the leader hands accept() on, then waits out the rest of
+        the read timeout. Handing on as soon as the first recv would
+        block caught 3 to 5% of plain-http connections and brought the
+        switches back to 1.0 per request;
+    (b) the watchdog finds the leader on one connection for a whole tick
+        (50 ms): a handler that runs long or blocks, or a reply the peer
+        does not read.
+
+    Handing on clears ``_leader``, the token, and the first worker to
+    reach ``_lead`` takes it: a parked worker woken for it, a new one
+    started while the pool has room, or with the pool spent the next
+    worker to finish a connection. So at most pool_size connections are
+    served at once and the rest wait in the backlog. The watchdog ticks
+    only while connections arrive and sleeps after a second without one:
+    a 5 ms watchdog woken at every accept raised paced secured-tcp-open
+    from 1.1 to 5.2 context switches per request, and its server CPU
+    per request in 3 of 3 pairs. It is no worker and not counted in
+    pool_size.
+
     Workers start lazily because each serving thread grows its own
     malloc arena: with all 32 started up front, perfbench RSS rose from
     51.8 to 83.3 MiB on bulk-echo-http (55.6 MiB with MALLOC_ARENA_MAX=1)
@@ -343,11 +382,22 @@ class _SocketListener(_Listener):
         self._sock.settimeout(None)
         self._pool_size = pool_size
         self._lock = threading.Lock()
-        self._waiting = 1  # workers in accept() or on their way there
+        self._followers = threading.Condition(self._lock)  # parked workers wait here
+        self._watching = threading.Condition(self._lock)  # and the watchdog here
+        self._leader = None  # thread id of the worker that holds accept(); None: free
+        self._parked = 0  # workers waiting in _lead for accept() to be free
+        # written by the leader only: connections accepted, and the
+        # number of the one it serves (None while it accepts)
+        self._accepts = 0
+        self._busy = None
+        self._dozing = False  # the watchdog waits for a connection, not a tick
+        self._watchdog = threading.Thread(target=self._watch, daemon=True)
+        self._watchdog.start()
         self._pool.submit(self._work)
 
     def _work(self) -> None:
-        while True:
+        me = threading.get_ident()
+        while self._lead(me):
             try:
                 conn, addr = self._sock.accept()
             except OSError:
@@ -357,26 +407,86 @@ class _SocketListener(_Listener):
                 _log.exception("accept failed on the %s listener", self.kind)
                 time.sleep(_ACCEPT_RETRY_SECONDS)
                 continue
-            with self._lock:
-                self._waiting -= 1
-                if (not self._waiting and not self._stopping.is_set()
-                        and len(self._pool.threads) < self._pool_size):
-                    self._waiting += 1
-                    self._pool.submit(self._work)
+            self._accepts += 1
+            self._busy = self._accepts
+            if self._dozing:
+                with self._lock:
+                    self._watching.notify()
             try:
                 self._serve_connection(conn, addr)
             except Exception:
                 _log.exception("serving a %s connection from %s failed", self.kind, addr)
+
+    def _lead(self, me: int) -> bool:
+        """Wait until this worker holds accept(): it keeps it, takes it
+        when free, or parks until then. False once the listener stops."""
+        with self._lock:
+            while not self._stopping.is_set():
+                if self._leader in (me, None):
+                    self._leader, self._busy = me, None
+                    return True
+                self._parked += 1
+                self._followers.wait()
+                self._parked -= 1
+            return False
+
+    def _hand_over(self) -> None:
+        """Free accept() and call a worker to it. The lock is held."""
+        self._leader = self._busy = None
+        if self._parked:
+            self._followers.notify()
+        elif len(self._pool.threads) < self._pool_size and not self._stopping.is_set():
+            self._pool.submit(self._work)
+
+    def _watch(self) -> None:
+        """Rule (b): hand accept() on when the leader has served one
+        connection for a whole tick."""
+        seen = None  # the connection the leader served at the last tick
+        accepts, idle = 0, _WATCH_IDLE_TICKS
+        with self._lock:
+            while not self._stopping.is_set():
+                if idle >= _WATCH_IDLE_TICKS:
+                    # the leader reads _dozing after it counts a
+                    # connection, so one of the two sees the other
+                    self._dozing = True
+                    if self._busy is None and self._accepts == accepts:
+                        self._watching.wait()
+                    self._dozing = False
+                    idle = 0
+                    continue  # stop() may be what woke it
+                self._watching.wait(_WATCH_TICK)
+                busy = self._busy
+                if busy is not None and busy == seen:
+                    self._hand_over()
+                    busy = None
+                seen = busy
+                idle = idle + 1 if self._accepts == accepts else 0
+                accepts = self._accepts
+
+    def _await_request(self, conn: socket.socket) -> bytes:
+        """The first bytes of a request. Rule (a): a peer that sends none
+        within a switch interval makes this worker hand accept() on;
+        then it waits out the rest of the read timeout."""
+        wait = sys.getswitchinterval()
+        conn.settimeout(wait)
+        try:
+            return conn.recv(_RECV_SIZE)
+        except socket.timeout:
             with self._lock:
-                self._waiting += 1
+                if self._leader == threading.get_ident():
+                    self._hand_over()
+            conn.settimeout(_READ_TIMEOUT - wait)
+            return conn.recv(_RECV_SIZE)
+        finally:
+            conn.settimeout(_READ_TIMEOUT)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
-        conn.settimeout(30)
         peer = f"{addr[0]}:{addr[1]}"
         try:
             with conn:
+                reader = _SocketReader(conn, self._await_request(conn))
                 try:
-                    req = self._read_request(_SocketReader(conn), peer)
+                    req = self._read_request(reader, peer)
                 except _Refused as refused:
                     status, text = refused.args
                     _WRITERS[self.kind](conn, status, "text/plain; charset=utf-8",
@@ -400,11 +510,14 @@ class _SocketListener(_Listener):
         in accept() (Linux returns EINVAL there)."""
         with self._lock:  # no worker starts after this
             self._stopping.set()
+            self._followers.notify_all()
+            self._watching.notify()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # stopped before
         self._pool.shutdown()
+        self._watchdog.join()
         self._sock.close()
 
 
@@ -529,7 +642,10 @@ class LoopbackListener(_Listener):
             raise PeerGone("listener stopped")
         req = InboundRequest(transportKind=self.kind, peer=peer, path=path,
                              headers=None, payload=payload)
-        future = self._pool.submit(self.dispatcher, req)
+        try:
+            future = self._pool.submit(self.dispatcher, req)
+        except RuntimeError:  # stop() shut the executor down after the check above
+            raise PeerGone("listener stopped") from None
         return future.result(timeout=timeout)
 
 

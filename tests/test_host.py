@@ -41,6 +41,7 @@ from mobilehost.host import (
     Host,
     HostConfig,
     SIGNATURE_HEADER,
+    _signer_key,
     attach_signature,
     auth_header_xml,
     encrypt_request,
@@ -372,6 +373,39 @@ class TestSecurityGating:
         fault = fault_of(secure_host.handle_request(soap_request(signed)))
         assert fault.faultcode == "Client"
         assert "signature" in fault.faultstring
+
+    def test_signer_certificate_is_checked_once_per_text(self, secure_host, fig13_bytes,
+                                                          keypair, monkeypatch):
+        cert_text = render_certificate_text(issue_certificate(keypair, "Consumer/"))
+        signed = attach_signature(fig13_bytes, keypair.privateKey, cert_text)
+        _signer_key.cache_clear()
+        calls = collections.Counter()
+        for name in ("parse_certificate_text", "verify_certificate"):
+            def counted(arg, name=name, original=getattr(security, name)):
+                calls[name] += 1
+                return original(arg)
+            monkeypatch.setattr(security, name, counted)
+        for _ in range(2):
+            assert secure_host.handle_request(soap_request(signed)).status == 200
+        assert calls == {"parse_certificate_text": 1, "verify_certificate": 1}
+
+    def test_forged_signer_certificate_is_refused_every_time(self, secure_host, fig13_bytes,
+                                                              keypair):
+        # a refusal is not cached: the second request is checked again
+        cert_text = render_certificate_text(issue_certificate(keypair, "Consumer/"))
+        forged = cert_text.replace("SubjectDN: ", "SubjectDN: Forged ", 1)
+        signed = attach_signature(fig13_bytes, keypair.privateKey, forged)
+        for _ in range(2):
+            fault = fault_of(secure_host.handle_request(soap_request(signed)))
+            assert fault.faultstring == "invalid signer certificate"
+
+    def test_signer_key_cache_is_bounded(self, keypair):
+        cert_text = render_certificate_text(issue_certificate(keypair, "Consumer/"))
+        _signer_key.cache_clear()
+        for i in range(100):  # texts that differ in trailing blank lines only
+            _signer_key(cert_text + "\n" * i)
+        info = _signer_key.cache_info()
+        assert info.currsize == info.maxsize == 64
 
 
 class TestTextAfterHeaderEntryOrBody:
