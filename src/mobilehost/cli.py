@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 remote fault or failed operation, 2 usage
 error, 3 I/O or network error. ``main`` maps every ``MobileHostError``
 and ``OSError`` a command lets through to 3; a command returns the
 other codes itself.
+
+Key files go through ``security``: ``keygen`` and ``cert show`` use the
+paths and issuer of ``KeyStore``, and ``invoke --sign`` checks its pair
+with ``load_key_pair``, so a bad pair is a usage error before any traffic.
 """
 
 from __future__ import annotations
@@ -20,9 +24,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
-
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
 
 from . import security
 from .canonical import parse_xml
@@ -47,7 +48,6 @@ from .host import (
 from .manifest import load_manifest
 from .notes import NotesHandler, load_seed_file, notes_descriptor
 from .registry import Registry, make_user, password_proof
-from .security import KeyStore
 from .soap import (
     SOAP_ENC_NS,
     QName,
@@ -311,17 +311,13 @@ def cmd_invoke(args) -> int:
         print("error: --sign requires --key and --signer-cert", file=sys.stderr)
         return EXIT_USAGE
     # local files first: a bad one is a usage error, found before any traffic
-    service_cert = private_key = None
+    service_cert = None
     try:
         if args.cert:
             service_cert = security.parse_certificate_text(Path(args.cert).read_text())
         if args.sign:
-            private_key = serialization.load_pem_private_key(
-                Path(args.key).read_bytes(), password=None)
-            if not isinstance(private_key, rsa.RSAPrivateKey):
-                raise ValueError("not an RSA private key")
-            signer_cert_text = Path(args.signer_cert).read_text()
-    except (ValueError, TypeError) as e:
+            signer, signer_cert = security.load_key_pair(args.key, args.signer_cert)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -343,7 +339,8 @@ def cmd_invoke(args) -> int:
         ))
         env = replace(env, headerEntries=env.headerEntries + (entry,))
     if args.sign:
-        env = signed_envelope(env, private_key, signer_cert_text)
+        env = signed_envelope(env, signer.privateKey,
+                              security.render_certificate_text(signer_cert))
     payload = serialize_envelope(env)
 
     status, body = http_request(args.url, payload, timeout=args.timeout)
@@ -390,26 +387,23 @@ def cmd_describe(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    store = KeyStore(args.keys_dir)
+    store = security.KeyStore(args.keys_dir)
     if store.has(args.name) and not args.force:
         print(f"error: key material for {args.name} exists (use --force)",
               file=sys.stderr)
         return EXIT_FAULT
     try:
-        kp = security.generate_keypair(args.bits)
-        cert = security.issue_certificate(kp, subjectDN=args.subject,
-                                          validityDays=args.days)
+        store.issue(args.name, args.bits, args.subject, args.days)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    store.save(args.name, kp, cert)
-    print(f"wrote {store.directory / (args.name + '.key')}")
-    print(f"wrote {store.directory / (args.name + '.cert')}")
+    print(f"wrote {store.key_path(args.name)}")
+    print(f"wrote {store.cert_path(args.name)}")
     return EXIT_OK
 
 
 def cmd_cert_show(args) -> int:
-    sys.stdout.write((Path(args.keys_dir) / f"{args.name}.cert").read_text())
+    sys.stdout.write(security.KeyStore(args.keys_dir).cert_path(args.name).read_text())
     return EXIT_OK
 
 

@@ -441,10 +441,9 @@ class Host:
         if root is None:
             return _plain(404, "not found")
         relative = path.lstrip("/") or "index.html"
-        target = (root / relative).resolve()
-        try:
-            root_resolved = root.resolve()
-            target.relative_to(root_resolved)
+        try:  # ValueError: a path outside the root, or one with a NUL byte
+            target = (root / relative).resolve()
+            target.relative_to(root.resolve())
         except ValueError:
             return _plain(404, "not found")
         if not target.is_file():

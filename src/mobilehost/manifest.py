@@ -63,18 +63,20 @@ def load_manifest(path):
         raise ValueError(f'manifest {path} is not {{"services": [...]}}')
     services = []
     for i, item in enumerate(entries):
+        where = f"manifest {path}: services[{i}]"
         try:
             descriptor = descriptor_from_dict(item)
         except KeyError as e:
-            raise ValueError(
-                f"manifest {path}: services[{i}] has no {e.args[0]!r} field") from None
+            raise ValueError(f"{where} has no {e.args[0]!r} field") from None
         except (TypeError, AttributeError) as e:
-            raise ValueError(f"manifest {path}: services[{i}] is malformed: {e}") from None
+            raise ValueError(f"{where} is malformed: {e}") from None
         handler_name = item.get("handler", "echo")
-        factory = BUILTIN_HANDLERS.get(handler_name)
+        factory = BUILTIN_HANDLERS.get(handler_name) if isinstance(handler_name, str) else None
         if factory is None:
-            raise ValueError(
-                f"unknown handler {handler_name!r}; built-ins: {sorted(BUILTIN_HANDLERS)}"
-            )
-        services.append((descriptor, factory(descriptor, item.get("handlerOptions", {}))))
+            raise ValueError(f"{where}: unknown handler {handler_name!r}; "
+                             f"built-ins: {sorted(BUILTIN_HANDLERS)}")
+        options = item.get("handlerOptions", {})
+        if not (isinstance(options, dict) and all(isinstance(v, str) for v in options.values())):
+            raise ValueError(f"{where}: handlerOptions is not an object of strings")
+        services.append((descriptor, factory(descriptor, options)))
     return services

@@ -98,7 +98,8 @@ def load_seed_file(path) -> List[NoteRecord]:
         fields = line.split(";")
         if len(fields) != 4:
             raise ValueError(f"{path}:{lineno}: expected student;discipline;label;value")
-        records.append(
-            NoteRecord(fields[0], fields[1], fields[2], int(fields[3]))
-        )
+        try:
+            records.append(NoteRecord(fields[0], fields[1], fields[2], int(fields[3])))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return records

@@ -7,9 +7,12 @@ subject and issuer DNs, start and final dates, RSA modulus and exponent
 as decimal digit runs, then the self-signature). The rendering is
 bit-exact and parses back to an equal certificate.
 
-``KeyStore`` makes, loads and renews each secured service's key pair
-and certificate; a file it cannot read, or a certificate for another
-key, is an ``IoFailure`` that names the file.
+Each RSA scheme (RFC 8017) is spelled once: ``_sign``/``_verify``
+(RSASSA-PKCS1-v1_5, SHA-256) and ``_OAEP`` (RSAES-OAEP, SHA-256). Key
+files are read only by ``load_key_pair``, for ``KeyStore`` and the CLI.
+``KeyStore`` names, issues, loads and renews each service's pair; a file
+it cannot read, or a certificate for another key, is an ``IoFailure``
+that names the file.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _DIGIT_WRAP = 43  # digits per line in modulus/signature runs
+
+_PKCS1V15 = padding.PKCS1v15()
+_OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
+                     algorithm=hashes.SHA256(), label=None)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,6 @@ class Certificate:
     notAfter: datetime
     modulus: int
     exponent: int
-    signatureAlgorithm: str  # "RSA"
     signature: bytes
 
     def public_key(self) -> rsa.RSAPublicKey:
@@ -94,12 +100,23 @@ def generate_keypair(bits: int = 2048) -> KeyPair:
     return KeyPair(publicKey=priv.public_key(), privateKey=priv)
 
 
+def _sign(data: bytes, private_key: rsa.RSAPrivateKey) -> bytes:
+    return private_key.sign(data, _PKCS1V15, hashes.SHA256())
+
+
+def _verify(signature: bytes, data: bytes, public_key: rsa.RSAPublicKey) -> bool:
+    try:
+        public_key.verify(signature, data, _PKCS1V15, hashes.SHA256())
+        return True
+    except InvalidSignature:
+        return False
+
+
 def sign_message(message: bytes, private_key: rsa.RSAPrivateKey) -> SignatureBlock:
-    sig = private_key.sign(message, padding.PKCS1v15(), hashes.SHA256())
     return SignatureBlock(
         algorithm=SIGNATURE_ALGORITHM,
         digestAlgorithm=DIGEST_ALGORITHM,
-        value=base64.b64encode(sig).decode("ascii"),
+        value=base64.b64encode(_sign(message, private_key)).decode("ascii"),
     )
 
 
@@ -110,11 +127,7 @@ def verify_signature(
         raw = base64.b64decode(sig.value, validate=True)
     except Exception:
         raise MalformedSignature("signature value is not valid base64") from None
-    try:
-        public_key.verify(raw, message, padding.PKCS1v15(), hashes.SHA256())
-        return True
-    except InvalidSignature:
-        return False
+    return _verify(raw, message, public_key)
 
 
 def encrypt_message(plaintext: bytes, recipient: rsa.RSAPublicKey) -> CipherEnvelope:
@@ -125,14 +138,7 @@ def encrypt_message(plaintext: bytes, recipient: rsa.RSAPublicKey) -> CipherEnve
     session_key = os.urandom(32)
     iv = os.urandom(12)
     ciphertext = AESGCM(session_key).encrypt(iv, plaintext, None)
-    wrapped = recipient.encrypt(
-        session_key,
-        padding.OAEP(
-            mgf=padding.MGF1(algorithm=hashes.SHA256()),
-            algorithm=hashes.SHA256(),
-            label=None,
-        ),
-    )
+    wrapped = recipient.encrypt(session_key, _OAEP)
     b64 = lambda b: base64.b64encode(b).decode("ascii")
     return CipherEnvelope(wrappedKey=b64(wrapped), iv=b64(iv), ciphertext=b64(ciphertext))
 
@@ -142,14 +148,7 @@ def decrypt_message(env: CipherEnvelope, private_key: rsa.RSAPrivateKey) -> byte
         wrapped = base64.b64decode(env.wrappedKey, validate=True)
         iv = base64.b64decode(env.iv, validate=True)
         ciphertext = base64.b64decode(env.ciphertext, validate=True)
-        session_key = private_key.decrypt(
-            wrapped,
-            padding.OAEP(
-                mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                algorithm=hashes.SHA256(),
-                label=None,
-            ),
-        )
+        session_key = private_key.decrypt(wrapped, _OAEP)
         return AESGCM(session_key).decrypt(iv, ciphertext, None)
     except Exception:
         raise DecryptFailure() from None
@@ -231,26 +230,17 @@ def issue_certificate(
         notAfter=not_before + timedelta(days=validityDays),
         modulus=kp.modulus,
         exponent=kp.exponent,
-        signatureAlgorithm="RSA",
         signature=b"",
     )
-    sig = kp.privateKey.sign(
-        _tbs_text(unsigned).encode("utf-8"), padding.PKCS1v15(), hashes.SHA256()
-    )
+    sig = _sign(_tbs_text(unsigned).encode("utf-8"), kp.privateKey)
     return dataclasses.replace(unsigned, signature=sig)
 
 
 def verify_certificate(cert: Certificate) -> bool:
     """Check the self-signature under the embedded public key."""
     try:
-        cert.public_key().verify(
-            cert.signature,
-            _tbs_text(cert).encode("utf-8"),
-            padding.PKCS1v15(),
-            hashes.SHA256(),
-        )
-        return True
-    except (InvalidSignature, ValueError):  # ValueError: no RSA key has these numbers
+        return _verify(cert.signature, _tbs_text(cert).encode("utf-8"), cert.public_key())
+    except ValueError:  # no RSA key has these numbers
         return False
 
 
@@ -314,12 +304,32 @@ def parse_certificate_text(text: str) -> Certificate:
         notAfter=final,
         modulus=modulus,
         exponent=exponent,
-        signatureAlgorithm="RSA",
         signature=sig_number.to_bytes(key_bytes, "big"),
     )
 
 
 # --- key store ---------------------------------------------------------------
+
+
+def load_key_pair(key_path, cert_path) -> tuple:
+    """(KeyPair, Certificate) from a PEM RSA private key file and a
+    certificate text file. A file that does not read as one, or a
+    certificate for another key, is a ValueError that starts with the
+    file's path; an OSError (its text names the file) passes through."""
+    path = Path(key_path)
+    try:
+        priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
+        if not isinstance(priv, rsa.RSAPrivateKey):
+            raise ValueError("not an RSA private key")
+        kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
+        path = Path(cert_path)
+        cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
+        # KeyStore.save writes the key first: a crash after it leaves the old cert
+        if (cert.modulus, cert.exponent) != (kp.modulus, kp.exponent):
+            raise ValueError("certificate is for another key")
+    except (ValueError, TypeError, UnsupportedAlgorithm) as e:  # TypeError: an encrypted PEM
+        raise ValueError(f"{path}: {e}") from None
+    return kp, cert
 
 
 class KeyStore:
@@ -329,14 +339,14 @@ class KeyStore:
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def _key_path(self, name: str) -> Path:
+    def key_path(self, name: str) -> Path:
         return self.directory / f"{name}.key"
 
-    def _cert_path(self, name: str) -> Path:
+    def cert_path(self, name: str) -> Path:
         return self.directory / f"{name}.cert"
 
     def has(self, name: str) -> bool:
-        return self._key_path(name).exists() and self._cert_path(name).exists()
+        return self.key_path(name).exists() and self.cert_path(name).exists()
 
     def save(self, name: str, kp: KeyPair, cert: Certificate) -> None:
         pem = kp.privateKey.private_bytes(
@@ -344,28 +354,23 @@ class KeyStore:
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
-        write_file(self._key_path(name), pem, mode=0o600)
-        write_file(self._cert_path(name), render_certificate_text(cert).encode("utf-8"))
+        write_file(self.key_path(name), pem, mode=0o600)
+        write_file(self.cert_path(name), render_certificate_text(cert).encode("utf-8"))
 
     def load(self, name: str) -> tuple:
-        """(KeyPair, Certificate) of name. A file that is missing, that
-        holds no RSA private key or no certificate text, or a certificate
-        for another key is an IoFailure naming the file."""
-        path = self._key_path(name)
+        """(KeyPair, Certificate) of name. A missing file, or one that
+        load_key_pair refuses, is an IoFailure naming the file."""
         try:
-            priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
-            if not isinstance(priv, rsa.RSAPrivateKey):
-                raise ValueError("not an RSA private key")
-            path = self._cert_path(name)
-            cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
-            # save() writes the key first: a crash after it leaves the old cert
-            kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
-            if (cert.modulus, cert.exponent) != (kp.modulus, kp.exponent):
-                raise ValueError("certificate is for another key")
-        except OSError as e:  # its text names the file
+            return load_key_pair(self.key_path(name), self.cert_path(name))
+        except (OSError, ValueError) as e:  # each text names the file
             raise IoFailure(f"cannot read key material for {name}: {e}") from None
-        except (ValueError, TypeError, UnsupportedAlgorithm) as e:
-            raise IoFailure(f"cannot read key material for {name}: {path}: {e}") from None
+
+    def issue(self, name: str, bits: int, subjectDN: str, validityDays: int) -> tuple:
+        """Make, certify and save a new (KeyPair, Certificate) for name; a
+        bad size or validity is a ValueError before any file is written."""
+        kp = generate_keypair(bits)
+        cert = issue_certificate(kp, subjectDN=subjectDN, validityDays=validityDays)
+        self.save(name, kp, cert)
         return kp, cert
 
     def service_keys(self, name: str, issue: bool = False) -> tuple:
@@ -374,10 +379,7 @@ class KeyStore:
         is load()'s IoFailure. A certificate within _RENEW_MARGIN of its end
         is replaced on disk by one with the same key and subject."""
         if issue and not self.has(name):
-            kp = generate_keypair()
-            cert = issue_certificate(kp, subjectDN=f"{name}/")
-            self.save(name, kp, cert)
-            return kp, cert
+            return self.issue(name, 2048, f"{name}/", DEFAULT_VALIDITY_DAYS)
         kp, cert = self.load(name)
         if cert.notAfter - datetime.now(timezone.utc) < _RENEW_MARGIN:
             cert = issue_certificate(kp, subjectDN=cert.subjectDN)

@@ -512,6 +512,12 @@ class TestOneWriterPerDataDir:
         assert "Traceback" not in proc.stderr
 
 
+MANIFEST_ENTRY = (
+    '{"services": [{"serviceName": "S", "namespaceUri": "u", "endpointPath": "/s",'
+    ' "methods": [{"name": "m", "params": [], "returns": "string"}], %s}]}'
+)
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -560,6 +566,22 @@ class TestUsageErrors:
                        "--sign", "--key", str(bad), "--signer-cert", str(tmp_path / "me.cert"))
         self.assert_usage_error(proc)
 
+    def test_invoke_sign_certificate_for_another_key_exit_2(self, tmp_path):
+        for name in ("me", "other"):
+            assert main(["keygen", name, "--keys-dir", str(tmp_path)]) == 0
+        other = tmp_path / "other.cert"
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       "--sign", "--key", str(tmp_path / "me.key"), "--signer-cert", str(other))
+        self.assert_usage_error(proc, f"{other}: certificate is for another key")
+
+    def test_invoke_sign_signer_cert_that_is_no_certificate_exit_2(self, tmp_path):
+        assert main(["keygen", "me", "--keys-dir", str(tmp_path)]) == 0
+        bad = tmp_path / "bad.cert"
+        bad.write_text("not a certificate\n")
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       "--sign", "--key", str(tmp_path / "me.key"), "--signer-cert", str(bad))
+        self.assert_usage_error(proc, f"{bad}: missing certificate banner")
+
     @pytest.mark.parametrize("option, message, manifest_text", [
         (["--bind", "ftp://x:1"], "unknown binding scheme: ftp", ""),
         (["--pool-size", "0"], "workerPoolSize must be >= 1", ""),
@@ -567,8 +589,16 @@ class TestUsageErrors:
          '{"services": [{"serviceName": "S", "namespaceUri": "u", "endpointPath": "/s"}]}'),
         (["--services", "MANIFEST"], "services[0] is malformed", '{"services": [1]}'),
         (["--services", "MANIFEST"], 'is not {"services": [...]}', "[]"),
+        (["--services", "MANIFEST"], "services[0]: unknown handler ['echo']",
+         MANIFEST_ENTRY % '"handler": ["echo"]'),
+        (["--services", "MANIFEST"], "services[0]: handlerOptions is not an object of strings",
+         MANIFEST_ENTRY % '"handlerOptions": 5'),
+        (["--services", "MANIFEST"], "services[0]: handlerOptions is not an object of strings",
+         MANIFEST_ENTRY % '"handler": "notes", "handlerOptions": {"seed": 5}'),
     ], ids=["bind scheme", "pool size", "manifest without methods",
-            "manifest entry not an object", "manifest not an object"])
+            "manifest entry not an object", "manifest not an object",
+            "manifest handler not a string", "manifest handlerOptions not an object",
+            "manifest seed not a string"])
     def test_serve_usage_error_exit_2(self, tmp_path, option, message, manifest_text):
         manifest = tmp_path / "m.json"
         manifest.write_text(manifest_text)
@@ -622,6 +652,24 @@ class TestSeedFile:
             )
         )
         assert load_seed_file(seed_file) == list(DEFAULT_SEED)
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "invalid literal for int() with base 10: 'x'"),
+        ("-1", "note value must be >= 0"),
+    ], ids=["not an integer", "negative"])
+    def test_bad_value_names_its_line(self, tmp_path, value, message):
+        seed_file = tmp_path / "notes.seed"
+        seed_file.write_text("# student;discipline;label;value\nA;B;NOTE 1;7\n"
+                             f"A;B;NOTE 2;{value}\n")
+        with pytest.raises(ValueError) as exc:
+            load_seed_file(seed_file)
+        assert str(exc.value) == f"{seed_file}:3: {message}"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(MANIFEST_ENTRY % (
+            f'"handler": "notes", "handlerOptions": {{"seed": "{seed_file}"}}'))
+        with pytest.raises(ValueError) as exc:
+            load_manifest(manifest)
+        assert str(exc.value) == f"{seed_file}:3: {message}"
 
     def test_custom_seed_served(self, tmp_path, capsys):
         seed_file = tmp_path / "notes.seed"

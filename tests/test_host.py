@@ -776,6 +776,15 @@ class TestWebBranch:
         host = make_host(tmp_path, webRoot=web)
         assert self.get(host, "/../secret.txt").status == 404
 
+    def test_nul_byte_in_static_path_404(self, tmp_path, caplog):
+        web = tmp_path / "web"
+        web.mkdir()
+        host = make_host(tmp_path, webRoot=web)
+        with caplog.at_level(logging.DEBUG):
+            resp = self.get(host, "/a\x00b")
+        assert (resp.status, resp.body) == (404, b"not found")
+        assert not caplog.records
+
 
 class TestLogging:
     def test_every_soap_request_logs_exactly_once(self, demo_host, fig13_bytes):

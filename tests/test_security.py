@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from mobilehost.errors import DecryptFailure, IoFailure, MalformedSignature
 from mobilehost.security import (
@@ -16,6 +18,7 @@ from mobilehost.security import (
     encrypt_message,
     generate_keypair,
     issue_certificate,
+    load_key_pair,
     make_serial,
     parse_certificate_text,
     render_certificate_text,
@@ -272,6 +275,18 @@ class TestKeyStore:
                                   f"{tmp_path / 'keys' / 'Svc.cert'}: "
                                   f"certificate is for another key")
 
+    def test_issue_saves_a_new_pair(self, tmp_path):
+        store = KeyStore(tmp_path / "keys")
+        for bits, days in ((1024, 10), (2048, 0)):
+            with pytest.raises(ValueError):
+                store.issue("Svc", bits, "Me/", days)
+        assert not store.has("Svc")
+        kp, cert = store.issue("Svc", 2048, "Me/", 3)
+        assert (cert.subjectDN, cert.modulus) == ("Me/", kp.modulus)
+        assert cert.notAfter - cert.notBefore == datetime.timedelta(days=3)
+        assert verify_certificate(cert)
+        assert store.load("Svc")[1] == cert
+
     def test_service_keys_issues_a_missing_pair_once(self, tmp_path):
         store = KeyStore(tmp_path / "keys")
         with pytest.raises(IoFailure, match="Svc.key"):
@@ -294,3 +309,56 @@ class TestKeyStore:
         assert (cert.modulus, cert.subjectDN) == (old.modulus, old.subjectDN)
         assert cert.notBefore >= now and cert.serial != old.serial
         assert store.load("Svc")[1] == cert
+
+
+class TestLoadKeyPair:
+    def test_reads_a_saved_pair(self, tmp_path, keypair):
+        store = KeyStore(tmp_path)
+        cert = issue_certificate(keypair, "Svc/", serial=b"1")
+        store.save("Svc", keypair, cert)
+        kp, loaded = load_key_pair(str(store.key_path("Svc")), store.cert_path("Svc"))
+        assert (kp.modulus, loaded) == (keypair.modulus, cert)
+        # invoke --sign sends this rendering: the bytes of the file keygen wrote
+        assert render_certificate_text(loaded) == store.cert_path("Svc").read_text()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("encrypted", "private key is encrypted"),
+        ("ed25519", "not an RSA private key"),
+        ("text", ""),  # the library's wording differs between versions
+    ])
+    def test_unusable_private_key_names_the_file(self, tmp_path, keypair, kind, message):
+        pem = {
+            "encrypted": lambda: keypair.privateKey.private_bytes(
+                serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                serialization.BestAvailableEncryption(b"pw")),
+            "ed25519": lambda: ed25519.Ed25519PrivateKey.generate().private_bytes(
+                serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                serialization.NoEncryption()),
+            "text": lambda: b"not a key\n",
+        }[kind]()
+        key, cert = tmp_path / "k.pem", tmp_path / "c.cert"
+        key.write_bytes(pem)
+        cert.write_text(render_certificate_text(issue_certificate(keypair, "X/")))
+        with pytest.raises(ValueError) as exc:
+            load_key_pair(key, cert)
+        assert str(exc.value).startswith(f"{key}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"not a certificate\n", "missing certificate banner"),
+        (b"\xff\xfe", "can't decode byte 0xff"),
+    ], ids=["not a certificate", "not UTF-8"])
+    def test_unreadable_certificate_names_the_file(self, tmp_path, keypair, text, message):
+        store = KeyStore(tmp_path)
+        store.save("Svc", keypair, issue_certificate(keypair, "Svc/"))
+        store.cert_path("Svc").write_bytes(text)
+        with pytest.raises(ValueError) as exc:
+            load_key_pair(store.key_path("Svc"), store.cert_path("Svc"))
+        assert str(exc.value).startswith(f"{store.cert_path('Svc')}: ")
+        assert message in str(exc.value)
+
+    def test_missing_file_is_an_os_error(self, tmp_path, keypair):
+        store = KeyStore(tmp_path)
+        store.save("Svc", keypair, issue_certificate(keypair, "Svc/"))
+        with pytest.raises(FileNotFoundError):
+            load_key_pair(store.key_path("Svc"), tmp_path / "none.cert")
