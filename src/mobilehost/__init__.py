@@ -1,7 +1,6 @@
 """Embeddable SOAP service host: register services at runtime, serve
 them over pluggable transports, and secure messages end to end."""
 
-from .canonical import body_canonical, canonicalize
 from .errors import MobileHostError
 from .host import AuthHeader, Host, HostConfig
 from .registry import (

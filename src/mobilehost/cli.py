@@ -2,13 +2,16 @@
 
 Commands: serve, invoke, describe, keygen, cert show, users add.
 Exit codes: 0 success, 1 remote fault or failed operation, 2 usage
-error, 3 I/O or network error. ``main`` maps every ``MobileHostError``
-and ``OSError`` a command lets through to 3; a command returns the
-other codes itself.
+error, 3 I/O or network error. ``main`` owns 2 and 3: it maps every
+``ValueError`` a command lets through (a bad option, argument, URL or
+local file) to 2, and every ``MobileHostError`` and ``OSError`` to 3.
+A command returns 0 and 1 itself, and 2 or 3 only where it names the
+cause.
 
 Key files go through ``security``: ``keygen`` and ``cert show`` use the
-paths and issuer of ``KeyStore``, and ``invoke --sign`` checks its pair
-with ``load_key_pair``, so a bad pair is a usage error before any traffic.
+paths and issuer of ``KeyStore``, ``invoke --cert`` reads its file with
+``load_certificate`` and ``invoke --sign`` its pair with
+``load_key_pair``, so a bad file is a usage error before any traffic.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import http.client
 import os
 import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -31,9 +35,7 @@ from .errors import (
     DuplicateUser,
     IoFailure,
     MobileHostError,
-    NotSoap,
     MalformedXml,
-    UnsupportedType,
     UnsupportedWsdl,
 )
 from .host import (
@@ -75,6 +77,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as e:  # an option, an argument, the URL or a local file
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (MobileHostError, OSError) as e:  # a file, the data dir or the network
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -192,17 +197,12 @@ def cmd_serve(args) -> int:
         nonlocal stopping
         stopping = True
 
-    # installed before start so a signal that arrives early still stops gracefully
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
+    # installed before start so a signal that arrives early still stops
+    # gracefully; only the main thread may install a handler
+    if threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGINT, signal.SIGTERM):
             signal.signal(sig, request_stop)
-        except ValueError:
-            pass  # not the main thread
-    try:
-        cfg, services = serve_plan(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg, services = serve_plan(args)
     lock = _lock_data_dir(cfg.dataDir)
     if lock is None:
         return EXIT_IO
@@ -311,24 +311,15 @@ def cmd_invoke(args) -> int:
         print("error: --sign requires --key and --signer-cert", file=sys.stderr)
         return EXIT_USAGE
     # local files first: a bad one is a usage error, found before any traffic
-    service_cert = None
-    try:
-        if args.cert:
-            service_cert = security.parse_certificate_text(Path(args.cert).read_text())
-        if args.sign:
-            signer, signer_cert = security.load_key_pair(args.key, args.signer_cert)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    service_cert = security.load_certificate(args.cert) if args.cert else None
+    if args.sign:
+        signer, signer_cert = security.load_key_pair(args.key, args.signer_cert)
     try:
         descriptor = parse_wsdl(fetch_wsdl(args.url, timeout=args.timeout))
         env = build_call_envelope(descriptor, args.method, args.params)
     except (MalformedXml, UnsupportedWsdl) as e:
         print(f"error: unusable WSDL: {e}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:  # the URL, the method name or an argument
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.encrypt:
         env = encrypted_carrier(serialize_envelope(env), descriptor.namespaceUri, service_cert)
@@ -347,7 +338,7 @@ def cmd_invoke(args) -> int:
     try:
         root = parse_xml(body)
         envelope = parse_envelope(root)
-    except (MalformedXml, NotSoap, UnsupportedType) as e:
+    except MalformedXml as e:
         print(f"error: unreadable response (status {status}): {e}", file=sys.stderr)
         return EXIT_IO
 
@@ -374,12 +365,10 @@ def cmd_invoke(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    try:
-        wsdl = fetch_wsdl(args.url, timeout=args.timeout)
-    except ValueError as e:  # the URL
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    sys.stdout.write(wsdl.decode("utf-8"))
+    wsdl = fetch_wsdl(args.url, timeout=args.timeout)
+    # the bytes as received: decoding them could raise a ValueError, which
+    # main would report as a usage error
+    sys.stdout.buffer.write(wsdl)
     return EXIT_OK
 
 
@@ -392,11 +381,7 @@ def cmd_keygen(args) -> int:
         print(f"error: key material for {args.name} exists (use --force)",
               file=sys.stderr)
         return EXIT_FAULT
-    try:
-        store.issue(args.name, args.bits, args.subject, args.days)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    store.issue(args.name, args.bits, args.subject, args.days)
     print(f"wrote {store.key_path(args.name)}")
     print(f"wrote {store.cert_path(args.name)}")
     return EXIT_OK

@@ -5,9 +5,12 @@ code: caller mistakes (codec and validation errors, unknown services,
 denied access, bad signatures, undecryptable requests) are ``Client``
 faults, everything else is ``Server``. The host's SOAP pipeline calls
 it in one place; the error's message becomes the faultstring and its
-``detail`` the fault detail. Those two are all an error carries: the
-validation errors build their message from their arguments and keep
-none of them.
+``detail`` the fault detail. Those two are all an error carries, so one
+class serves each kind of mistake that some caller handles apart:
+``MalformedXml`` for any input the codec cannot read as SOAP,
+``ValidationError`` for a call that does not match its signature and
+``HandlerError`` for a handler that fails or returns what its signature
+does not allow. The code that raises one writes its message.
 """
 
 from __future__ import annotations
@@ -29,62 +32,15 @@ class MalformedXml(MobileHostError):
     pass
 
 
-class NotSoap(MobileHostError):
-    pass
-
-
-class UnsupportedType(MobileHostError):
-    pass
-
-
 # --- validation ----------------------------------------------------------
 
 class ValidationError(MobileHostError):
     """A call does not match the declared method signature."""
 
 
-class UnknownMethod(ValidationError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown method: {name}")
-
-
-class ArityMismatch(ValidationError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"expected {expected} parameter(s), got {got}")
-
-
-class NameMismatch(ValidationError):
-    def __init__(self, position: int, expected: str, got: str):
-        super().__init__(
-            f"parameter {position}: expected name '{expected}', got '{got}'"
-        )
-
-
-class TypeMismatch(ValidationError):
-    def __init__(self, param_name: str, expected: str, got: str):
-        super().__init__(
-            f"parameter '{param_name}': expected {expected}, got {got}"
-        )
-
-
-class ReturnTypeMismatch(MobileHostError):
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"handler returned {got}, signature declares {expected}")
-
-
-class UnencodableResult(MobileHostError):
-    def __init__(self) -> None:
-        super().__init__("handler result holds characters XML 1.0 cannot carry")
-
-
-class InvalidResultLexical(MobileHostError):
-    def __init__(self, xsd_name: str):
-        super().__init__(f"handler result is not a valid {xsd_name} lexical value")
-
-
 class HandlerError(MobileHostError):
-    """Raised by a service handler to signal a failure during execution.
-    The host wraps whatever a handler raises in one of these."""
+    """A handler failed or returned a result its signature does not
+    allow. The host wraps whatever a handler raises in one of these."""
 
 
 # --- access --------------------------------------------------------------
@@ -153,7 +109,7 @@ class PeerGone(MobileHostError):
 
 def fault_code_for(exc: Exception) -> str:
     """Map an exception to the SOAP 1.1 fault code the caller should see."""
-    if isinstance(exc, (ValidationError, MalformedXml, NotSoap, UnsupportedType,
-                        NotFound, DecryptFailure, MalformedSignature, AccessDenied)):
+    if isinstance(exc, (ValidationError, MalformedXml, NotFound, DecryptFailure,
+                        MalformedSignature, AccessDenied)):
         return "Client"
     return "Server"

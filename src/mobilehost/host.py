@@ -72,6 +72,7 @@ from .errors import (
     MalformedXml,
     MobileHostError,
     NotFound,
+    PathConflict,
     fault_code_for,
 )
 from .registry import Registry, RequestLogEntry, ServiceRecord
@@ -357,7 +358,8 @@ class Host:
         are written before the registry saves the record, so after a
         crash the saved state never names key material that is missing;
         the live entry is published only after the registry took the
-        record, so a refused one leaves nothing behind."""
+        record. A name or path already taken is refused before any file
+        is written, so a refused create leaves nothing behind."""
         with self._manage_lock:
             name = desc.serviceName
             try:
@@ -371,6 +373,9 @@ class Host:
                 raise DuplicateService(
                     f"service {name} already exists with a different signature"
                 )
+            # the live table holds every registered path
+            if desc.endpointPath in self._services:
+                raise PathConflict(f"endpoint path already in use: {desc.endpointPath}")
 
             keys = self.keystore.service_keys(name, issue=True) if desc.securityEnabled else None
             doc = generate_wsdl(desc, self._endpoint_url(desc))

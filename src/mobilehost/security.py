@@ -9,10 +9,12 @@ bit-exact and parses back to an equal certificate.
 
 Each RSA scheme (RFC 8017) is spelled once: ``_sign``/``_verify``
 (RSASSA-PKCS1-v1_5, SHA-256) and ``_OAEP`` (RSAES-OAEP, SHA-256). Key
-files are read only by ``load_key_pair``, for ``KeyStore`` and the CLI.
-``KeyStore`` names, issues, loads and renews each service's pair; a file
-it cannot read, or a certificate for another key, is an ``IoFailure``
-that names the file.
+files are read only by ``load_key_pair``, and certificate files only by
+``load_certificate``, which checks the self-signature; both serve
+``KeyStore`` and the CLI. ``KeyStore`` names, issues, loads and renews
+each service's pair; a file it cannot read, a certificate whose
+self-signature fails or one for another key is an ``IoFailure`` that
+names the file.
 """
 
 from __future__ import annotations
@@ -311,25 +313,39 @@ def parse_certificate_text(text: str) -> Certificate:
 # --- key store ---------------------------------------------------------------
 
 
+def load_certificate(path, kp: KeyPair | None = None) -> Certificate:
+    """The certificate in a text file. With kp it must be for kp's key;
+    then its self-signature must verify. A file that does not read as a
+    certificate, one for another key or one whose self-signature fails
+    is a ValueError that starts with the file's path; an OSError (its
+    text names the file) passes through."""
+    path = Path(path)
+    try:
+        cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
+        # KeyStore.save writes the key first: a crash after it leaves the old cert
+        if kp is not None and (cert.modulus, cert.exponent) != (kp.modulus, kp.exponent):
+            raise ValueError("certificate is for another key")
+        if not verify_certificate(cert):
+            raise ValueError("certificate self-signature does not verify")
+    except ValueError as e:  # UnicodeDecodeError is one too
+        raise ValueError(f"{path}: {e}") from None
+    return cert
+
+
 def load_key_pair(key_path, cert_path) -> tuple:
     """(KeyPair, Certificate) from a PEM RSA private key file and a
-    certificate text file. A file that does not read as one, or a
-    certificate for another key, is a ValueError that starts with the
-    file's path; an OSError (its text names the file) passes through."""
+    certificate file that ``load_certificate`` accepts for that key. A
+    key file that does not read as one is a ValueError that starts with
+    its path; an OSError passes through."""
     path = Path(key_path)
     try:
         priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
         if not isinstance(priv, rsa.RSAPrivateKey):
             raise ValueError("not an RSA private key")
-        kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
-        path = Path(cert_path)
-        cert = parse_certificate_text(path.read_bytes().decode("utf-8"))
-        # KeyStore.save writes the key first: a crash after it leaves the old cert
-        if (cert.modulus, cert.exponent) != (kp.modulus, kp.exponent):
-            raise ValueError("certificate is for another key")
     except (ValueError, TypeError, UnsupportedAlgorithm) as e:  # TypeError: an encrypted PEM
         raise ValueError(f"{path}: {e}") from None
-    return kp, cert
+    kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
+    return kp, load_certificate(cert_path, kp)
 
 
 class KeyStore:

@@ -2,7 +2,10 @@
 
 A service declares its methods up front; the host only ever invokes
 ``executeMethod`` with an argument list that passed ``validate_call``
-against the declared signature.
+against the declared signature. A call that does not match is a
+``ValidationError`` (a Client fault), and a result that
+``coerce_result`` refuses a ``HandlerError`` (a Server fault); each
+message says which check failed.
 """
 
 from __future__ import annotations
@@ -12,16 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Protocol
 
-from .errors import (
-    ArityMismatch,
-    InvalidResultLexical,
-    MalformedXml,
-    NameMismatch,
-    ReturnTypeMismatch,
-    TypeMismatch,
-    UnencodableResult,
-    UnknownMethod,
-)
+from .errors import HandlerError, MalformedXml, ValidationError
 from .canonical import XML_NS, XMLNS_NS, xml_chars_ok
 from .soap import SoapCall, TypedValue, XsdType, _is_token, parse_lexical
 
@@ -83,7 +77,7 @@ class ServiceDescriptor:
         for m in self.methods:
             if m.name == name:
                 return m
-        raise UnknownMethod(name)
+        raise ValidationError(f"unknown method: {name}")
 
 
 class ServiceHandler(Protocol):
@@ -101,30 +95,34 @@ def validate_call(desc: ServiceDescriptor, call: SoapCall) -> MethodSignature:
     """
     sig = desc.method(call.operation.localName)
     if len(call.params) != len(sig.params):
-        raise ArityMismatch(len(sig.params), len(call.params))
+        raise ValidationError(
+            f"expected {len(sig.params)} parameter(s), got {len(call.params)}")
     for i, ((got_name, got_value), spec) in enumerate(zip(call.params, sig.params)):
         if got_name != spec.name:
-            raise NameMismatch(i, spec.name, got_name)
+            raise ValidationError(
+                f"parameter {i}: expected name '{spec.name}', got '{got_name}'")
         if got_value.xsdType is not spec.xsdType:
-            raise TypeMismatch(spec.name, spec.xsdType.value, got_value.xsdType.value)
+            raise ValidationError(f"parameter '{spec.name}': expected "
+                                  f"{spec.xsdType.value}, got {got_value.xsdType.value}")
     return sig
 
 
 def coerce_result(sig: MethodSignature, raw: TypedValue) -> TypedValue:
     """Enforce the declared return type, no silent coercion, and a
     lexical form XML 1.0 can carry that is valid for the type."""
-    if not isinstance(raw, TypedValue):
-        raise ReturnTypeMismatch(sig.returnType.value, type(raw).__name__)
-    if raw.xsdType is not sig.returnType:
-        raise ReturnTypeMismatch(sig.returnType.value, raw.xsdType.value)
+    if not isinstance(raw, TypedValue) or raw.xsdType is not sig.returnType:
+        got = raw.xsdType.value if isinstance(raw, TypedValue) else type(raw).__name__
+        raise HandlerError(f"handler returned {got}, signature declares "
+                           f"{sig.returnType.value}")
     if not xml_chars_ok(raw.lexical):
-        raise UnencodableResult()
+        raise HandlerError("handler result holds characters XML 1.0 cannot carry")
     # any string is a valid xsd:string, so echoing text pays nothing here
     if raw.xsdType is not XsdType.STRING:
         try:
             parse_lexical(raw.xsdType, raw.lexical)
         except MalformedXml:
-            raise InvalidResultLexical(raw.xsdType.xsd_name) from None
+            raise HandlerError(f"handler result is not a valid "
+                               f"{raw.xsdType.xsd_name} lexical value") from None
     return raw
 
 

@@ -36,7 +36,7 @@ from .canonical import (
     parse_xml,
     xml_safe_text,
 )
-from .errors import MalformedXml, NotSoap, UnsupportedType
+from .errors import MalformedXml
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -124,7 +124,7 @@ def parse_lexical(xsd_type: XsdType, lexical: str) -> object:
         raise MalformedXml(
             f"invalid {xsd_type.xsd_name} lexical value: {lexical!r}"
         ) from None
-    raise UnsupportedType(str(xsd_type))
+    raise MalformedXml(str(xsd_type))
 
 
 def _render_lexical(xsd_type: XsdType, value: object) -> str:
@@ -250,7 +250,7 @@ def parse_envelope(raw) -> SoapEnvelope:
     of them, into a structured SOAP 1.1 envelope."""
     root = raw if isinstance(raw, ET.Element) else parse_xml(raw)
     if root.tag != f"{{{SOAP_ENV_NS}}}Envelope":
-        raise NotSoap(f"root element is {root.tag}, not a SOAP 1.1 Envelope")
+        raise MalformedXml(f"root element is {root.tag}, not a SOAP 1.1 Envelope")
 
     header_el = None
     body_el = None
@@ -335,7 +335,7 @@ def _parse_typed_element(el: ET.Element) -> TypedValue:
         try:
             xsd_type = XsdType(local)
         except ValueError:
-            raise UnsupportedType(f"unsupported xsi:type: {declared}") from None
+            raise MalformedXml(f"unsupported xsi:type: {declared}") from None
     return TypedValue.parse(xsd_type, el.text or "")
 
 

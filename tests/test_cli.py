@@ -108,6 +108,19 @@ class TestInvoke:
         assert code == 0
         assert "wsdl:definitions" in capsys.readouterr().out
 
+    def test_describe_writes_a_reply_that_is_not_utf8_as_received(self, tmp_path,
+                                                                 capsysbinary):
+        port = free_port()
+        host = make_host(tmp_path, BindingConfig(kind="http", port=port))
+        host.start()
+        try:
+            with tamper_proxy(port, b"<wsdl:definitions", b"<\xffsdl:definitions") as proxy:
+                code = main(["describe", f"http://127.0.0.1:{proxy}/CadastroEscolar.jws"])
+        finally:
+            host.shutdown()
+        assert code == 0
+        assert b"<\xffsdl:definitions" in capsysbinary.readouterr().out
+
 
 class TestSecureInvoke:
     def fetch_cert(self, tmp_path, port) -> Path:
@@ -557,6 +570,27 @@ class TestUsageErrors:
         proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
                        "--cert", str(bad))
         self.assert_usage_error(proc, "missing certificate banner")
+
+    def test_invoke_cert_of_one_byte_names_the_file_exit_2(self, tmp_path):
+        bad = tmp_path / "service.cert"
+        bad.write_bytes(b"x")
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       "--cert", str(bad))
+        self.assert_usage_error(proc)
+        assert proc.stderr == f"error: {bad}: missing certificate banner\n"
+
+    @pytest.mark.parametrize("option", ["--cert", "--signer-cert"])
+    def test_invoke_certificate_whose_self_signature_fails_exit_2(self, tmp_path, option):
+        # the signer certificate would be refused by the host, a round trip later
+        assert main(["keygen", "me", "--keys-dir", str(tmp_path)]) == 0
+        cert = tmp_path / "me.cert"
+        cert.write_text(cert.read_text().replace(
+            "SubjectDN: MobileHost/", "SubjectDN: Forged/", 1))
+        sign = ["--sign", "--key", str(tmp_path / "me.key")] if option == "--signer-cert" else []
+        proc = run_cli("invoke", f"http://127.0.0.1:{free_port()}/X.jws", "m",
+                       option, str(cert), *sign)
+        self.assert_usage_error(proc)
+        assert proc.stderr == f"error: {cert}: certificate self-signature does not verify\n"
 
     def test_invoke_sign_key_that_is_no_pem_exit_2(self, tmp_path):
         assert main(["keygen", "me", "--keys-dir", str(tmp_path)]) == 0

@@ -469,6 +469,18 @@ class TestCreateService:
         keys = KeyStore(host.cfg.dataDir / "keys").load("CadastroEscolar")
         assert keys[1] == host.service_certificate("CadastroEscolar")
 
+    def test_taken_path_is_refused_before_any_file_is_written(self, tmp_path):
+        host = make_host(tmp_path, secure_demo=True)
+        other = dataclasses.replace(notes_descriptor(True), serviceName="Other")
+        with pytest.raises(PathConflict,
+                           match=r"^endpoint path already in use: /CadastroEscolar\.jws$"):
+            host.create_service(other, NotesHandler())
+        assert sorted(p.name for p in (host.cfg.dataDir / "keys").iterdir()) == [
+            "CadastroEscolar.cert", "CadastroEscolar.key"]
+        assert [p.name for p in host.cfg.wsdlDir.iterdir()] == ["CadastroEscolar.wsdl"]
+        with pytest.raises(NotFound):
+            host.registry.lookup_service("Other")
+
 
 class TestLifecycle:
     def test_fresh_dir_is_empty(self, tmp_path):
@@ -553,6 +565,17 @@ class TestLifecycle:
         assert str(exc.value) == (f"cannot read key material for CadastroEscolar: "
                                   f"{keys / 'CadastroEscolar.cert'}: "
                                   f"certificate is for another key")
+
+    def test_certificate_whose_self_signature_fails_refuses_to_start(self, tmp_path):
+        host = make_host(tmp_path, secure_demo=True)
+        host.shutdown()
+        cert_file = tmp_path / "data" / "keys" / "CadastroEscolar.cert"
+        cert_file.write_text(cert_file.read_text().replace(
+            "SubjectDN: ", "SubjectDN: Forged ", 1))
+        with pytest.raises(IoFailure) as exc:
+            make_host(tmp_path, with_demo=False)
+        assert str(exc.value) == (f"cannot read key material for CadastroEscolar: "
+                                  f"{cert_file}: certificate self-signature does not verify")
 
     def test_state_saved_without_shutdown(self, tmp_path):
         host = make_host(tmp_path, secure_demo=True)
@@ -1241,9 +1264,9 @@ def test_fault_matrix(matrix_host, build, expect, keypair, other_keypair,
 # One row per handler outcome, each against a secured and an unsecured
 # service. A result with a character outside XML 1.0 is a Server fault,
 # such a character in a fault text becomes U+FFFD, a result that is not
-# a TypedValue is a ReturnTypeMismatch, and a lexical form its type does
-# not allow is a Server fault; every answer is well-formed and signed
-# iff the service is secured.
+# a TypedValue and a lexical form its type does not allow are each a
+# Server fault that names the check; every answer is well-formed and
+# signed iff the service is secured.
 
 
 class OddHandler:

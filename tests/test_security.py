@@ -18,6 +18,7 @@ from mobilehost.security import (
     encrypt_message,
     generate_keypair,
     issue_certificate,
+    load_certificate,
     load_key_pair,
     make_serial,
     parse_certificate_text,
@@ -309,6 +310,35 @@ class TestKeyStore:
         assert (cert.modulus, cert.subjectDN) == (old.modulus, old.subjectDN)
         assert cert.notBefore >= now and cert.serial != old.serial
         assert store.load("Svc")[1] == cert
+
+
+class TestLoadCertificate:
+    def test_reads_a_rendered_certificate(self, tmp_path, keypair):
+        cert = issue_certificate(keypair, "Svc/", serial=b"1")
+        path = tmp_path / "c.cert"
+        path.write_text(render_certificate_text(cert))
+        assert load_certificate(path) == cert
+        assert load_certificate(str(path), keypair) == cert
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:1], "missing certificate banner"),
+        (lambda text: text.replace("SubjectDN: Svc/", "SubjectDN: Other/", 1),
+         "certificate self-signature does not verify"),
+    ], ids=["one byte", "subject edited"])
+    def test_refusal_starts_with_the_path(self, tmp_path, keypair, edit, message):
+        path = tmp_path / "c.cert"
+        path.write_text(edit(render_certificate_text(issue_certificate(keypair, "Svc/"))))
+        with pytest.raises(ValueError) as exc:
+            load_certificate(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_certificate_for_another_key_is_refused(self, tmp_path, keypair,
+                                                    other_keypair):
+        path = tmp_path / "c.cert"
+        path.write_text(render_certificate_text(issue_certificate(keypair, "Svc/")))
+        with pytest.raises(ValueError) as exc:
+            load_certificate(path, other_keypair)
+        assert str(exc.value) == f"{path}: certificate is for another key"
 
 
 class TestLoadKeyPair:

@@ -2,19 +2,13 @@
 descriptor fingerprints."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 
 from mobilehost.canonical import XML_NS, XMLNS_NS
-from mobilehost.errors import (
-    ArityMismatch,
-    InvalidResultLexical,
-    NameMismatch,
-    ReturnTypeMismatch,
-    TypeMismatch,
-    UnknownMethod,
-)
+from mobilehost.errors import HandlerError, ValidationError
 from mobilehost.notes import notes_descriptor
 from mobilehost.service import (
     MethodSignature,
@@ -56,7 +50,7 @@ class TestValidateCall:
 
     def test_unknown_method(self):
         call = SoapCall(QName("nope", "urn:x"), params=())
-        with pytest.raises(UnknownMethod):
+        with pytest.raises(ValidationError, match=r"^unknown method: nope$"):
             validate_call(notes_descriptor(), call)
 
     def test_arity_low(self):
@@ -64,7 +58,7 @@ class TestValidateCall:
             QName("obterNotas", "urn:x"),
             params=(("codAluno", TypedValue.of(XsdType.STRING, "A001")),),
         )
-        with pytest.raises(ArityMismatch) as exc:
+        with pytest.raises(ValidationError) as exc:
             validate_call(notes_descriptor(), call)
         assert str(exc.value) == "expected 2 parameter(s), got 1"
 
@@ -73,7 +67,7 @@ class TestValidateCall:
         call = dataclasses.replace(
             base, params=base.params + (("extra", TypedValue.of(XsdType.STRING, "x")),)
         )
-        with pytest.raises(ArityMismatch) as exc:
+        with pytest.raises(ValidationError) as exc:
             validate_call(notes_descriptor(), call)
         assert str(exc.value) == "expected 2 parameter(s), got 3"
 
@@ -85,7 +79,7 @@ class TestValidateCall:
                 ("codDisciplina", TypedValue.of(XsdType.STRING, "D002")),
             ),
         )
-        with pytest.raises(TypeMismatch) as exc:
+        with pytest.raises(ValidationError) as exc:
             validate_call(notes_descriptor(), call)
         assert str(exc.value) == "parameter 'codAluno': expected string, got int"
 
@@ -97,7 +91,7 @@ class TestValidateCall:
                 ("codDisciplina", TypedValue.of(XsdType.STRING, "D002")),
             ),
         )
-        with pytest.raises(NameMismatch) as exc:
+        with pytest.raises(ValidationError) as exc:
             validate_call(notes_descriptor(), call)
         assert str(exc.value) == "parameter 0: expected name 'codAluno', got 'studentCode'"
 
@@ -119,24 +113,28 @@ class TestValidateCall:
         renamed = dataclasses.replace(
             good, operation=QName(unknown, good.operation.namespaceUri)
         )
-        with pytest.raises(UnknownMethod):
+        with pytest.raises(ValidationError, match=f"^unknown method: {re.escape(unknown)}$"):
             validate_call(desc, renamed)
 
+        n = len(sig.params)
         shorter = dataclasses.replace(good, params=good.params[:-1] if good.params else ())
         if good.params:
-            with pytest.raises(ArityMismatch):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"expected {n} parameter(s), got {n - 1}")):
                 validate_call(desc, shorter)
 
         longer = dataclasses.replace(
             good, params=good.params + (("zzextra", TypedValue.of(XsdType.INT, 1)),)
         )
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"expected {n} parameter(s), got {n + 1}")):
             validate_call(desc, longer)
 
         for i, (name, value) in enumerate(good.params):
             bad_name = list(good.params)
             bad_name[i] = (name + "X", value)
-            with pytest.raises(NameMismatch):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"parameter {i}: expected name '{name}', got '{name}X'")):
                 validate_call(desc, dataclasses.replace(good, params=tuple(bad_name)))
 
             other_type = (
@@ -144,7 +142,9 @@ class TestValidateCall:
             )
             bad_type = list(good.params)
             bad_type[i] = (name, TypedValue.of(other_type, 3 if other_type is XsdType.INT else "x"))
-            with pytest.raises(TypeMismatch):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"parameter '{name}': expected {value.xsdType.value}, "
+                    f"got {other_type.value}")):
                 validate_call(desc, dataclasses.replace(good, params=tuple(bad_type)))
 
 
@@ -158,7 +158,8 @@ class TestCoerceResult:
         assert coerce_result(self.SIG_STR, tv) is tv
 
     def test_no_silent_coercion(self):
-        with pytest.raises(ReturnTypeMismatch):
+        with pytest.raises(HandlerError,
+                           match=r"^handler returned string, signature declares int$"):
             coerce_result(self.SIG_INT, TypedValue.of(XsdType.STRING, "12"))
 
     def test_matching_boolean(self):
@@ -171,8 +172,9 @@ class TestCoerceResult:
     ])
     def test_lexical_form_must_be_valid_for_its_type(self, xsd_type, lexical):
         sig = MethodSignature("m", (), xsd_type)
-        with pytest.raises(InvalidResultLexical,
-                           match=f"not a valid {xsd_type.xsd_name} lexical value"):
+        with pytest.raises(HandlerError,
+                           match=f"^handler result is not a valid {xsd_type.xsd_name} "
+                                 f"lexical value$"):
             coerce_result(sig, TypedValue(xsd_type, lexical, None))
 
 

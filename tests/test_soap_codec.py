@@ -2,13 +2,14 @@
 round-trip property the whole wire stack leans on."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobilehost.canonical import canonicalize, emit_canonical
-from mobilehost.errors import MalformedXml, NotSoap, UnsupportedType
+from mobilehost.errors import MalformedXml
 from mobilehost.soap import (
     QName,
     SoapCall,
@@ -72,12 +73,15 @@ class TestParseErrors:
             parse_envelope(b"\xff\xfe<Envelope/>")
 
     def test_wrong_root(self):
-        with pytest.raises(NotSoap):
+        with pytest.raises(MalformedXml,
+                           match=r"^root element is html, not a SOAP 1\.1 Envelope$"):
             parse_envelope(b"<html><body>hi</body></html>")
 
     def test_soap12_envelope_rejected(self):
         xml = b'<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body/></Envelope>'
-        with pytest.raises(NotSoap):
+        with pytest.raises(MalformedXml, match=re.escape(
+                "root element is {http://www.w3.org/2003/05/soap-envelope}Envelope, "
+                "not a SOAP 1.1 Envelope")):
             parse_envelope(xml)
 
     def test_empty_body(self):
@@ -108,7 +112,7 @@ class TestParseErrors:
             b'<e:Body><op><p xsi:type="xsd:dateTime">2008-08-13</p></op></e:Body>'
             b"</e:Envelope>"
         )
-        with pytest.raises(UnsupportedType):
+        with pytest.raises(MalformedXml, match=r"^unsupported xsi:type: xsd:dateTime$"):
             parse_envelope(xml)
 
     def test_bad_int_lexical(self):
