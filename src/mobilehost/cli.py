@@ -12,18 +12,23 @@ Key files go through ``security``: ``keygen`` and ``cert show`` use the
 paths and issuer of ``KeyStore``, ``invoke --cert`` reads its file with
 ``load_certificate`` and ``invoke --sign`` its pair with
 ``load_key_pair``, so a bad file is a usage error before any traffic.
+
+``invoke`` and ``describe`` speak plain HTTP only: ``http_request``
+refuses any other URL scheme before it connects, and it alone imports
+``http.client``, so ``serve`` never loads the HTTP client. ``serve``
+sleeps in a read of a signal wakeup pipe until SIGINT or SIGTERM
+arrives; an idle host's main thread does not wake.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
-import http.client
 import os
 import signal
 import sys
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -197,16 +202,15 @@ def cmd_serve(args) -> int:
         nonlocal stopping
         stopping = True
 
-    # installed before start so a signal that arrives early still stops
-    # gracefully; only the main thread may install a handler
-    if threading.current_thread() is threading.main_thread():
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(sig, request_stop)
-    cfg, services = serve_plan(args)
-    lock = _lock_data_dir(cfg.dataDir)
-    if lock is None:
-        return EXIT_IO
-    try:
+    with contextlib.ExitStack() as stack:
+        # installed before start so a signal that arrives early still stops
+        # gracefully
+        wakeup = stack.enter_context(_signal_wakeup(request_stop))
+        cfg, services = serve_plan(args)
+        lock = _lock_data_dir(cfg.dataDir)
+        if lock is None:
+            return EXIT_IO
+        stack.callback(os.close, lock)
         host = Host(cfg)
         for descriptor, handler in services:
             host.create_service(descriptor, handler)
@@ -216,12 +220,33 @@ def cmd_serve(args) -> int:
         print("ready", flush=True)
         try:
             while not stopping:
-                time.sleep(0.1)
+                os.read(wakeup, 64)  # blocks until a signal arrives
         finally:
             host.shutdown()
         return EXIT_OK
+
+
+@contextlib.contextmanager
+def _signal_wakeup(handler):
+    """The read end of a pipe that gets a byte whenever SIGINT or SIGTERM
+    arrives, after installing handler for both (signal.set_wakeup_fd). The
+    byte is written at C level before the handler runs, so a signal that
+    lands just before a read of the pipe still ends that read. Only the
+    main thread may install a handler; off it the pipe never gets a byte."""
+    read_fd, write_fd = os.pipe()
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        os.set_blocking(write_fd, False)
+        previous = signal.set_wakeup_fd(write_fd)
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, handler)
+    try:
+        yield read_fd
     finally:
-        os.close(lock)
+        if main:
+            signal.set_wakeup_fd(previous)
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 def _lock_data_dir(data_dir: Path) -> Optional[int]:
@@ -244,10 +269,16 @@ def _lock_data_dir(data_dir: Path) -> Optional[int]:
 
 def http_request(url: str, body: Optional[bytes] = None, timeout: float = 10.0) -> tuple:
     """GET the URL, or POST body to it as a SOAP payload; returns
-    (status, body bytes). A bad URL is a ValueError, a non-HTTP reply an IoFailure."""
+    (status, body bytes). A bad URL, or one whose scheme is not http, is a
+    ValueError before any connection; a non-HTTP reply is an IoFailure."""
+    import http.client  # only invoke and describe use it: serve never loads it
+
     parts = urlsplit(url)
     if not parts.hostname:
         raise ValueError(f"no host in URL: {url}")
+    if parts.scheme != "http":
+        raise ValueError(f"unsupported URL scheme {parts.scheme!r} in {url}: "
+                         "only http:// is supported")
     target = parts.path or "/"
     if parts.query:
         target += f"?{parts.query}"

@@ -7,8 +7,11 @@ subject and issuer DNs, start and final dates, RSA modulus and exponent
 as decimal digit runs, then the self-signature). The rendering is
 bit-exact and parses back to an equal certificate.
 
-Each RSA scheme (RFC 8017) is spelled once: ``_sign``/``_verify``
-(RSASSA-PKCS1-v1_5, SHA-256) and ``_OAEP`` (RSAES-OAEP, SHA-256). Key
+Each RSA scheme (RFC 8017) is spelled once, in ``_crypto``:
+RSASSA-PKCS1-v1_5 with SHA-256, which ``_sign``/``_verify`` use, and
+RSAES-OAEP with SHA-256, which wraps the session key. ``_crypto`` imports
+``cryptography`` the first time a key is loaded, made or used, so a
+process with only open services never loads the library. Key
 files are read only by ``load_key_pair``, and certificate files only by
 ``load_certificate``, which checks the self-signature; both serve
 ``KeyStore`` and the CLI. ``KeyStore`` names, issues, loads and renews
@@ -21,19 +24,20 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .durable import write_file
 from .errors import DecryptFailure, IoFailure, MalformedSignature
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import rsa
 
 SIGNATURE_ALGORITHM = "RSA-SHA256"
 DIGEST_ALGORITHM = "SHA-256"
@@ -46,9 +50,28 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _DIGIT_WRAP = 43  # digits per line in modulus/signature runs
 
-_PKCS1V15 = padding.PKCS1v15()
-_OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                     algorithm=hashes.SHA256(), label=None)
+
+@functools.cache
+def _crypto() -> SimpleNamespace:
+    """The ``cryptography`` names this module uses, imported on the first
+    call: a process that never loads, makes or uses a key never loads the
+    library."""
+    from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import padding, rsa
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return SimpleNamespace(
+        AESGCM=AESGCM,
+        InvalidSignature=InvalidSignature,
+        UnsupportedAlgorithm=UnsupportedAlgorithm,
+        hashes=hashes,
+        rsa=rsa,
+        serialization=serialization,
+        PKCS1V15=padding.PKCS1v15(),
+        OAEP=padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
+                          algorithm=hashes.SHA256(), label=None),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,25 +115,27 @@ class Certificate:
     signature: bytes
 
     def public_key(self) -> rsa.RSAPublicKey:
-        return rsa.RSAPublicNumbers(self.exponent, self.modulus).public_key()
+        return _crypto().rsa.RSAPublicNumbers(self.exponent, self.modulus).public_key()
 
 
 def generate_keypair(bits: int = 2048) -> KeyPair:
     if bits not in ALLOWED_KEY_BITS:
         raise ValueError(f"key size must be one of {ALLOWED_KEY_BITS}")
-    priv = rsa.generate_private_key(public_exponent=65537, key_size=bits)
+    priv = _crypto().rsa.generate_private_key(public_exponent=65537, key_size=bits)
     return KeyPair(publicKey=priv.public_key(), privateKey=priv)
 
 
 def _sign(data: bytes, private_key: rsa.RSAPrivateKey) -> bytes:
-    return private_key.sign(data, _PKCS1V15, hashes.SHA256())
+    c = _crypto()
+    return private_key.sign(data, c.PKCS1V15, c.hashes.SHA256())
 
 
 def _verify(signature: bytes, data: bytes, public_key: rsa.RSAPublicKey) -> bool:
+    c = _crypto()
     try:
-        public_key.verify(signature, data, _PKCS1V15, hashes.SHA256())
+        public_key.verify(signature, data, c.PKCS1V15, c.hashes.SHA256())
         return True
-    except InvalidSignature:
+    except c.InvalidSignature:
         return False
 
 
@@ -137,21 +162,23 @@ def encrypt_message(plaintext: bytes, recipient: rsa.RSAPublicKey) -> CipherEnve
     under the recipient's public key with OAEP."""
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
+    c = _crypto()
     session_key = os.urandom(32)
     iv = os.urandom(12)
-    ciphertext = AESGCM(session_key).encrypt(iv, plaintext, None)
-    wrapped = recipient.encrypt(session_key, _OAEP)
+    ciphertext = c.AESGCM(session_key).encrypt(iv, plaintext, None)
+    wrapped = recipient.encrypt(session_key, c.OAEP)
     b64 = lambda b: base64.b64encode(b).decode("ascii")
     return CipherEnvelope(wrappedKey=b64(wrapped), iv=b64(iv), ciphertext=b64(ciphertext))
 
 
 def decrypt_message(env: CipherEnvelope, private_key: rsa.RSAPrivateKey) -> bytes:
+    c = _crypto()
     try:
         wrapped = base64.b64decode(env.wrappedKey, validate=True)
         iv = base64.b64decode(env.iv, validate=True)
         ciphertext = base64.b64decode(env.ciphertext, validate=True)
-        session_key = private_key.decrypt(wrapped, _OAEP)
-        return AESGCM(session_key).decrypt(iv, ciphertext, None)
+        session_key = private_key.decrypt(wrapped, c.OAEP)
+        return c.AESGCM(session_key).decrypt(iv, ciphertext, None)
     except Exception:
         raise DecryptFailure() from None
 
@@ -337,12 +364,13 @@ def load_key_pair(key_path, cert_path) -> tuple:
     certificate file that ``load_certificate`` accepts for that key. A
     key file that does not read as one is a ValueError that starts with
     its path; an OSError passes through."""
+    c = _crypto()
     path = Path(key_path)
     try:
-        priv = serialization.load_pem_private_key(path.read_bytes(), password=None)
-        if not isinstance(priv, rsa.RSAPrivateKey):
+        priv = c.serialization.load_pem_private_key(path.read_bytes(), password=None)
+        if not isinstance(priv, c.rsa.RSAPrivateKey):
             raise ValueError("not an RSA private key")
-    except (ValueError, TypeError, UnsupportedAlgorithm) as e:  # TypeError: an encrypted PEM
+    except (ValueError, TypeError, c.UnsupportedAlgorithm) as e:  # TypeError: an encrypted PEM
         raise ValueError(f"{path}: {e}") from None
     kp = KeyPair(publicKey=priv.public_key(), privateKey=priv)
     return kp, load_certificate(cert_path, kp)
@@ -365,11 +393,9 @@ class KeyStore:
         return self.key_path(name).exists() and self.cert_path(name).exists()
 
     def save(self, name: str, kp: KeyPair, cert: Certificate) -> None:
+        ser = _crypto().serialization
         pem = kp.privateKey.private_bytes(
-            serialization.Encoding.PEM,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
+            ser.Encoding.PEM, ser.PrivateFormat.PKCS8, ser.NoEncryption())
         write_file(self.key_path(name), pem, mode=0o600)
         write_file(self.cert_path(name), render_certificate_text(cert).encode("utf-8"))
 

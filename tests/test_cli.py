@@ -359,6 +359,42 @@ class TestServe:
             assert code == 0, f"run {run}: exit code {code}"
             assert (data / "state.db").is_file(), f"run {run}: no snapshot written"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/<pid>/task")
+    def test_idle_host_does_not_wake(self, tmp_path):
+        def switches(pid):
+            counts = {}
+            for status in Path(f"/proc/{pid}/task").glob("*/status"):
+                for line in status.read_text().splitlines():
+                    if line.startswith("voluntary_ctxt_switches:"):
+                        counts[status.parent.name] = int(line.split()[1])
+            return counts
+
+        port = free_port()
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "mobilehost", "serve",
+                "--bind", f"http://127.0.0.1:{port}",
+                "--data-dir", str(tmp_path / "data"),
+                "--demo-notes",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            wait_for_port(port)
+            time.sleep(1.5)  # past the listener watchdog's 1 s idle limit
+            before = switches(proc.pid)
+            time.sleep(1.0)
+            after = switches(proc.pid)
+            proc.terminate()
+            assert proc.wait(timeout=5) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        woken = {tid: after[tid] - before[tid] for tid in before.keys() & after.keys()}
+        assert woken and max(woken.values()) <= 1, woken
+
     def test_tcp_binding_served(self, tmp_path, fig13_bytes, fig14_bytes):
         from mobilehost.canonical import canonicalize
         from mobilehost.transport import encode_frame, read_frame
@@ -531,6 +567,9 @@ MANIFEST_ENTRY = (
 )
 
 
+DEAD_ENDPOINT = f"127.0.0.1:{free_port()}/X.jws"
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,7 +586,15 @@ class TestUsageErrors:
         (["describe", "notaurl"], "no host in URL"),
         (["invoke", "http://127.0.0.1:notaport/x", "m"], "notaport"),
         (["describe", "http://127.0.0.1:notaport/x"], "notaport"),
-    ], ids=["invoke no host", "describe no host", "invoke bad port", "describe bad port"])
+        # refused before connecting: the port is dead, so reaching it would exit 3
+        (["invoke", f"https://{DEAD_ENDPOINT}", "m"],
+         f"unsupported URL scheme 'https' in https://{DEAD_ENDPOINT}?wsdl: only http://"),
+        (["describe", f"https://{DEAD_ENDPOINT}"],
+         f"unsupported URL scheme 'https' in https://{DEAD_ENDPOINT}?wsdl: only http://"),
+        (["invoke", f"tcp://{DEAD_ENDPOINT}", "m"], "unsupported URL scheme 'tcp'"),
+        (["describe", f"tcp://{DEAD_ENDPOINT}"], "unsupported URL scheme 'tcp'"),
+    ], ids=["invoke no host", "describe no host", "invoke bad port", "describe bad port",
+            "invoke https", "describe https", "invoke tcp", "describe tcp"])
     def test_bad_url_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err
